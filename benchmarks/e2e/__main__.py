@@ -1,0 +1,10 @@
+"""``python -m benchmarks.e2e`` — the same command as ``run.py``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import run  # noqa: E402
+
+sys.exit(run.main())
