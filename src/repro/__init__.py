@@ -49,8 +49,6 @@ _EXPORTS = {
     "Edit": "repro.serve",
     "MicroBatcher": "repro.serve",
     "PredictorRegistry": "repro.serve",
-    "TimingServer": "repro.serve",
-    "ServerConfig": "repro.serve",
     # Observability
     "configure_tracing": "repro.obs",
     "get_metrics": "repro.obs",
@@ -114,9 +112,7 @@ if TYPE_CHECKING:  # let static analyzers resolve the façade eagerly
         Edit,
         MicroBatcher,
         PredictorRegistry,
-        ServerConfig,
         SessionFactory,
-        TimingServer,
     )
     from repro.timing import (  # noqa: F401
         Corner,

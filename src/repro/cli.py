@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max concurrently executing requests "
                             "(per worker process when --workers > 0)")
     p_srv.add_argument("--queue-depth", type=int, default=32,
-                       help="fleet only: max in-flight requests per "
-                            "worker before load-shedding with 503")
+                       help="max in-flight requests per worker (or "
+                            "in-process) before load-shedding with 503")
     p_srv.add_argument("--deadline", type=float, default=30.0,
                        help="per-request deadline in seconds")
     p_srv.add_argument("--microbatch", type=int, default=8,
@@ -376,10 +376,10 @@ def cmd_predict(args) -> int:
 def cmd_serve(args) -> int:
     """Load (or bootstrap) a predictor, open sessions, serve HTTP.
 
-    ``--workers 0`` (default) serves in-process, exactly as before;
-    ``--workers N`` starts the sharded fleet: N worker processes mapping
-    one shared-memory model artifact behind an async gateway, with
-    graceful drain on SIGTERM.
+    Both modes serve through the async gateway, with graceful drain on
+    SIGTERM.  ``--workers 0`` (default) keeps the sessions in this
+    process; ``--workers N`` starts the sharded fleet: N worker
+    processes mapping one shared-memory model artifact.
     """
     import signal
 
@@ -388,13 +388,12 @@ def cmd_serve(args) -> int:
     from repro.ml.dataset import build_corner_samples, build_sample
     from repro.serve import (
         FleetConfig,
+        InProcessBackend,
         MicroBatcher,
         PredictorRegistry,
-        ServerConfig,
         SessionFactory,
         TimingFleet,
         TimingGateway,
-        TimingServer,
     )
     from repro.timing import CornerSet
 
@@ -441,75 +440,60 @@ def cmd_serve(args) -> int:
         predictor.fit(boot_samples)
         registry.register_predictor("default", predictor)
 
+    config = FleetConfig(workers=args.workers, threads=args.threads,
+                         microbatch=args.microbatch,
+                         microbatch_wait_ms=args.microbatch_wait_ms,
+                         deadline_s=args.deadline,
+                         queue_depth=args.queue_depth,
+                         precision=args.precision,
+                         plan_cache_dir=(str(args.plan_cache)
+                                         if args.plan_cache else None),
+                         session_ttl_s=args.session_ttl,
+                         # Ship *specs*: workers re-parse them, which
+                         # re-registers any custom corners over there.
+                         corners=corner_set.specs,
+                         partition_pins=args.partition_pins)
     if args.workers > 0:
-        fleet = TimingFleet(
-            registry.payload("default"), flows,
-            FleetConfig(workers=args.workers, threads=args.threads,
-                        microbatch=args.microbatch,
-                        microbatch_wait_ms=args.microbatch_wait_ms,
-                        deadline_s=args.deadline,
-                        queue_depth=args.queue_depth,
-                        precision=args.precision,
-                        plan_cache_dir=(str(args.plan_cache)
-                                        if args.plan_cache else None),
-                        session_ttl_s=args.session_ttl,
-                        # Ship *specs*: workers re-parse them, which
-                        # re-registers any custom corners over there.
-                        corners=corner_set.specs,
-                        partition_pins=args.partition_pins),
-            seeds={d: args.seed for d in flows}).start()
-        gateway = TimingGateway(
-            fleet, host=args.host, port=args.port,
-            # The registry captured the artifact's own tier; report the
-            # tier the workers actually serve at.
-            model_info=dict(registry.describe("default"),
-                            precision=args.precision))
-        host, port = gateway.bind()
-        signal.signal(signal.SIGTERM,
-                      lambda signum, frame: gateway.request_drain())
-        print(f"serving {sorted(flows)} on http://{host}:{port} "
-              f"({args.workers} workers)", flush=True)
-        gateway.serve_forever()
-        return 0
+        backend = TimingFleet(registry.payload("default"), flows, config,
+                              seeds={d: args.seed for d in flows}).start()
+    else:
+        samples = {d: build_sample(f, map_bins=map_bins, seed=args.seed,
+                                   partition_pins=args.partition_pins)
+                   for d, f in flows.items()}
 
-    samples = {d: build_sample(f, map_bins=map_bins, seed=args.seed,
-                               partition_pins=args.partition_pins)
-               for d, f in flows.items()}
+        def acquire():
+            predictor = registry.acquire("default")
+            if args.precision != predictor.precision:
+                predictor.set_precision(args.precision)
+            return predictor
 
-    def acquire():
-        predictor = registry.acquire("default")
-        if args.precision != predictor.precision:
-            predictor.set_precision(args.precision)
-        return predictor
-
-    batcher = None
-    if args.microbatch > 1:
-        # One shared predictor behind the batcher: only its worker
-        # thread touches the model, so sessions need no private copies.
-        batcher = MicroBatcher(acquire(),
-                               max_batch=args.microbatch,
-                               max_wait_s=args.microbatch_wait_ms * 1e-3)
-    factory = SessionFactory(acquire, batcher=batcher,
-                             flow_config=flow_config,
-                             corners=corner_names,
-                             default_seed=args.seed,
-                             scenario=args.scenario)
-    sessions = {d: factory.open(flows[d], sample=samples[d])
-                for d in args.designs}
-    server = TimingServer(
-        sessions,
-        ServerConfig(host=args.host, port=args.port,
-                     max_workers=args.threads, deadline_s=args.deadline,
-                     microbatch=args.microbatch,
-                     microbatch_wait_ms=args.microbatch_wait_ms,
-                     session_ttl_s=args.session_ttl),
+        batcher = None
+        if args.microbatch > 1:
+            # One shared predictor behind the batcher: only its worker
+            # thread touches the model, so sessions need no private copies.
+            batcher = MicroBatcher(acquire(),
+                                   max_batch=args.microbatch,
+                                   max_wait_s=args.microbatch_wait_ms * 1e-3)
+        factory = SessionFactory(acquire, batcher=batcher,
+                                 flow_config=flow_config,
+                                 corners=corner_names,
+                                 default_seed=args.seed,
+                                 scenario=args.scenario)
+        sessions = {d: factory.open(flows[d], sample=samples[d])
+                    for d in args.designs}
+        backend = InProcessBackend(sessions, config, batcher=batcher)
+    gateway = TimingGateway(
+        backend, host=args.host, port=args.port,
+        # The registry captured the artifact's own tier; report the
+        # tier the sessions actually serve at.
         model_info=dict(registry.describe("default"),
-                        precision=args.precision),
-        batcher=batcher)
-    host, port = server.bind()
-    print(f"serving {sorted(sessions)} on http://{host}:{port}",
-          flush=True)
-    server.serve_forever()
+                        precision=args.precision))
+    host, port = gateway.bind()
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: gateway.request_drain())
+    print(f"serving {sorted(flows)} on http://{host}:{port} "
+          f"({args.workers} workers)", flush=True)
+    gateway.serve_forever()
     return 0
 
 

@@ -14,15 +14,15 @@ Layering (see DESIGN.md):
   served read-only; hands a fresh predictor instance to each session.
 * :class:`RequestDispatcher` — transport-agnostic routing, slot
   accounting, per-request deadlines and structured errors; shared by the
-  in-process server and every fleet worker (bit-identical paths).
-* :class:`TimingServer` — stdlib JSON-over-HTTP front end with bounded
-  concurrency (the ``--workers 0`` in-process transport).
+  in-process backend and every fleet worker (bit-identical paths).
 * :class:`MicroBatcher` — coalesces concurrent per-design inferences
   into one packed forward pass over the batch execution engine.
-* :class:`TimingFleet` / :class:`TimingGateway` — the multi-process
-  serving fleet: a ``selectors``-based async HTTP gateway sharding
-  requests by design to worker processes that map one shared-memory
-  model artifact (``repro serve --workers N``).
+* :class:`TimingGateway` — the one HTTP transport: a ``selectors``-based
+  async JSON-over-HTTP front end over one of two backends:
+  :class:`InProcessBackend` (``repro serve --workers 0``: sessions in
+  the gateway process, dispatched on a thread pool) or
+  :class:`TimingFleet` (``--workers N``: requests sharded by design to
+  worker processes that map one shared-memory model artifact).
 """
 
 from repro.serve.api import (
@@ -39,17 +39,17 @@ from repro.serve.api import (
     WhatifResponse,
 )
 from repro.serve.batcher import MicroBatcher
-from repro.serve.dispatch import Deadline, RequestDispatcher
+from repro.serve.dispatch import API_VERSION, Deadline, RequestDispatcher
 from repro.serve.factory import SessionFactory
 from repro.serve.featurize import IncrementalFeaturizer
-from repro.serve.fleet import FleetConfig, FleetOverloaded, TimingFleet
+from repro.serve.fleet import (
+    FleetConfig,
+    FleetOverloaded,
+    InProcessBackend,
+    TimingFleet,
+)
 from repro.serve.gateway import TimingGateway
 from repro.serve.registry import PredictorRegistry
-from repro.serve.server import (
-    API_VERSION,
-    ServerConfig,
-    TimingServer,
-)
 from repro.serve.session import EDIT_OPS, DesignSession, Edit
 from repro.serve.shm import SharedArtifact, ShmArtifactMeta, attach_artifact
 
@@ -66,6 +66,7 @@ __all__ = [
     "FleetConfig",
     "FleetOverloaded",
     "HealthResponse",
+    "InProcessBackend",
     "IncrementalFeaturizer",
     "LEGACY_API_VERSION",
     "MicroBatcher",
@@ -73,14 +74,12 @@ __all__ = [
     "PredictResponse",
     "PredictorRegistry",
     "RequestDispatcher",
-    "ServerConfig",
     "SessionFactory",
     "SharedArtifact",
     "ShmArtifactMeta",
     "SUPPORTED_API_VERSIONS",
     "TimingFleet",
     "TimingGateway",
-    "TimingServer",
     "WhatifRequest",
     "WhatifResponse",
     "attach_artifact",

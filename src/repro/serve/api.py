@@ -1,10 +1,10 @@
 """Canonical typed serving API: request/response schemas + versioning.
 
 This module is the single source of truth for the serving wire format.
-Every payload that crosses an HTTP boundary — from the in-process
-:class:`~repro.serve.server.TimingServer`, a fleet worker's dispatcher,
-or the async gateway — is built from (or parsed into) the dataclasses
-here, so the three transports cannot drift apart shape-wise.
+Every payload that crosses the HTTP boundary — answered by the
+dispatcher (in-process or in a fleet worker) or by the gateway itself —
+is built from (or parsed into) the dataclasses here, so the two
+backends and the gateway cannot drift apart shape-wise.
 
 API versioning rules (documented here and only here)
 ----------------------------------------------------

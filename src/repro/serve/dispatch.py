@@ -2,10 +2,10 @@
 
 The serving stack is split into three layers (see DESIGN.md):
 
-* **transport** — how bytes arrive: the threaded HTTP front end
-  (:class:`repro.serve.TimingServer`), the async fleet gateway
-  (:mod:`repro.serve.gateway`), or a worker process's pipe
-  (:mod:`repro.serve.worker`);
+* **transport** — how bytes arrive: the async HTTP gateway
+  (:mod:`repro.serve.gateway`), which hands requests to a thread pool in
+  its own process (:class:`~repro.serve.fleet.InProcessBackend`) or over
+  a worker process's pipe (:mod:`repro.serve.worker`);
 * **dispatch** — this module: route → session, slot accounting,
   per-request deadlines, structured errors;
 * **compute** — the sessions, the micro-batcher and the packed model
@@ -15,7 +15,7 @@ A :class:`RequestDispatcher` owns a set of
 :class:`~repro.serve.session.DesignSession` objects and answers
 ``(method, path, body)`` triples with JSON-serializable dicts, raising
 :class:`ApiError` for anything that maps to a non-200 status.  Both the
-in-process server (``--workers 0``) and every fleet worker run requests
+in-process backend (``--workers 0``) and every fleet worker run requests
 through this same class, which is what keeps the two paths bit-identical.
 
 Deadline accounting: the dispatcher opens a :class:`Deadline` per
@@ -144,8 +144,8 @@ class RequestDispatcher:
         """:meth:`handle` with errors rendered to ``(status, payload)``.
 
         The single place where exceptions become wire payloads — shared
-        by the threaded HTTP handler and the fleet workers so a given
-        failure produces the same body over either transport.
+        by the in-process backend and the fleet workers so a given
+        failure produces the same body on either backend.
         """
         try:
             return 200, self.handle(method, path, body)

@@ -1,8 +1,10 @@
-"""Sharded serving fleet: worker processes, routing, crash recovery.
+"""Gateway backends: the sharded worker fleet and the in-process backend.
 
-The fleet is the dispatch fabric between the async HTTP gateway
-(:mod:`repro.serve.gateway`) and N worker processes
-(:mod:`repro.serve.worker`):
+:class:`InProcessBackend` (``repro serve --workers 0``) keeps the
+sessions in the gateway process and runs the dispatcher on a thread
+pool.  :class:`TimingFleet` (``--workers N``) is the dispatch fabric
+between the async HTTP gateway (:mod:`repro.serve.gateway`) and N
+worker processes (:mod:`repro.serve.worker`):
 
 * **Sharding / affinity.**  Each design's session lives in exactly one
   worker (round-robin assignment at startup, sticky thereafter), so a
@@ -37,11 +39,17 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.flow import FlowResult
-from repro.serve.dispatch import ApiError, unknown_design_error
+from repro.serve.dispatch import (
+    ApiError,
+    RequestDispatcher,
+    unknown_design_error,
+)
+from repro.serve.session import DesignSession
 from repro.serve.shm import SharedArtifact
 from repro.serve.worker import worker_main
 from repro.utils import get_logger, require
@@ -65,7 +73,12 @@ class FleetOverloaded(ApiError):
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Fleet sizing and per-worker serving knobs."""
+    """Fleet sizing and per-worker serving knobs.
+
+    ``workers=0`` configures the :class:`InProcessBackend`, which uses
+    the dispatch knobs (threads, deadline, queue depth, TTL) and leaves
+    session construction to its caller.
+    """
 
     workers: int = 2
     threads: int = 4                 # request threads per worker
@@ -158,8 +171,8 @@ class TimingFleet:
                  seeds: Optional[Dict[str, int]] = None) -> None:
         self.config = config or FleetConfig()
         require(self.config.workers >= 1,
-                "a fleet needs at least one worker (use the in-process "
-                "server for --workers 0)")
+                "a fleet needs at least one worker (use InProcessBackend "
+                "for --workers 0)")
         require(len(flows) >= 1, "a fleet needs at least one design")
         self.flows = dict(flows)
         self.seeds = dict(seeds or {})
@@ -285,6 +298,9 @@ class TimingFleet:
     @property
     def all_drained(self) -> bool:
         return all(w.drained or not w.alive for w in self.workers)
+
+    def attach(self, post: Callable[[Callable[[], None]], None]) -> None:
+        """Nothing to attach: replies reach the loop through :meth:`pump`."""
 
     # ------------------------------------------------------------------
     # Routing + submission (called from the gateway loop)
@@ -535,6 +551,119 @@ class TimingFleet:
             "pending": len(self.pending),
             "per_worker": [w.describe() for w in self.workers],
         }
+
+
+class InProcessBackend:
+    """The gateway's backend for ``--workers 0``: no worker processes.
+
+    Presents the surface :class:`~repro.serve.gateway.TimingGateway`
+    calls on :class:`TimingFleet`, over sessions that stay in the gateway
+    process.  Like a fleet worker, it runs
+    :meth:`RequestDispatcher.handle_to_wire` on a pool of
+    ``config.threads`` threads; each result is handed back to the loop
+    thread through the gateway's self-pipe (see :meth:`attach`), so the
+    in-flight count is only ever touched on the loop thread.
+    """
+
+    #: The one shard every design lives on (the ``X-Repro-Worker`` label).
+    id = 0
+    #: No worker pipes or process sentinels for the gateway to watch.
+    workers: Tuple[WorkerHandle, ...] = ()
+
+    def __init__(self, sessions: Dict[str, DesignSession],
+                 config: Optional[FleetConfig] = None,
+                 batcher=None) -> None:
+        self.config = config or FleetConfig(workers=0)
+        self.dispatcher = RequestDispatcher(
+            sessions,
+            max_concurrent=self.config.threads,
+            deadline_s=self.config.deadline_s,
+            batcher=batcher,
+            fault_injection=self.config.fault_injection,
+            session_ttl_s=self.config.session_ttl_s)
+        self.inflight = 0
+        self._pool = ThreadPoolExecutor(max_workers=self.config.threads,
+                                        thread_name_prefix="repro-serve")
+        self._post: Optional[Callable[[Callable[[], None]], None]] = None
+
+    @property
+    def flows(self) -> Dict[str, DesignSession]:
+        """The served designs (keys); DELETE and idle eviction drop them."""
+        return self.dispatcher.sessions
+
+    def attach(self, post: Callable[[Callable[[], None]], None]) -> None:
+        """Take the gateway's thread-safe ``post(fn)``: runs ``fn`` on the
+        loop thread."""
+        self._post = post
+
+    def worker_for(self, design: Optional[str]) -> "InProcessBackend":
+        """Every design is local; the dispatcher answers unknown designs
+        with the same canonical 404 the fleet's routing table gives."""
+        return self
+
+    def submit(self, design: Optional[str], method: str, path: str,
+               body: Optional[Dict[str, Any]],
+               on_done: Callable[[int, Dict[str, Any]], None],
+               t_end: Optional[float] = None) -> None:
+        """Run one request on the pool; ``on_done(status, payload)`` is
+        called on the loop thread.  The gateway's own deadline backstop
+        covers *t_end*."""
+        if self.inflight >= self.config.queue_depth:
+            raise FleetOverloaded(design, self.inflight)
+        self._run(lambda: self.dispatcher.handle_to_wire(method, path, body),
+                  lambda reply: on_done(*reply))
+
+    def fanout(self, kind: str,
+               on_done: Callable[[List[Any]], None]) -> None:
+        """``designs`` is answered by the dispatcher; ``metrics`` and
+        ``describe`` have no worker to ask (the gateway's registry is
+        this process's registry), so they complete with no replies."""
+        if kind != "designs":
+            on_done([])
+            return
+        self._run(lambda: self.dispatcher.handle_to_wire(
+                      "GET", "/designs", None),
+                  lambda reply: on_done(
+                      [reply[1] if reply[0] == 200 else None]))
+
+    def _run(self, call: Callable[[], Tuple[int, Dict[str, Any]]],
+             deliver: Callable[[Tuple[int, Dict[str, Any]]], None]) -> None:
+        def job() -> None:
+            reply = call()
+            self._post(lambda: self._deliver(deliver, reply))
+
+        self.inflight += 1
+        self._pool.submit(job)
+
+    def _deliver(self, deliver, reply) -> None:
+        self.inflight -= 1
+        deliver(reply)
+
+    # Drain: requests already on the pool finish there; the gateway
+    # waits for ``all_drained`` and stops taking new ones itself.
+    def drain_begin(self) -> None:
+        pass
+
+    @property
+    def all_drained(self) -> bool:
+        return self.inflight == 0
+
+    def next_deadline(self) -> Optional[float]:
+        return None
+
+    def expire(self, now: Optional[float] = None) -> None:
+        pass
+
+    def describe(self) -> Dict[str, Any]:
+        """Backend bookkeeping for ``/health``."""
+        return {"workers": 0, "threads": self.config.threads,
+                "inflight": self.inflight}
+
+    def stop(self) -> None:
+        """Release the pool threads and the micro-batcher (idempotent)."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        if self.dispatcher.batcher is not None:
+            self.dispatcher.batcher.stop()
 
 
 def _error_payload(code: str, message: str) -> Dict[str, Any]:

@@ -1,21 +1,32 @@
-"""Async HTTP gateway for the serving fleet (stdlib ``selectors`` loop).
+"""Async HTTP gateway: the one serving transport (stdlib ``selectors``).
 
-The gateway is the fleet's **transport** layer: one thread, one
-``selectors`` event loop multiplexing
+The gateway is the **transport** layer of ``repro serve``: one thread,
+one ``selectors`` event loop multiplexing
 
 * the listening socket (accept),
 * every client connection (HTTP/1.1 with keep-alive, parsed
   incrementally),
-* every worker pipe (responses, fan-out replies, drain acks), and
+* every worker pipe (responses, fan-out replies, drain acks),
 * every worker's process **sentinel** (crash detection — a kill -9
-  wakes the loop immediately, no polling).
+  wakes the loop immediately, no polling), and
+* a self-pipe that wakes the loop for :meth:`TimingGateway.request_drain`
+  and for callbacks posted from other threads
+  (:meth:`TimingGateway.call_soon_threadsafe`).
 
+Behind it sits a backend: the worker fleet
+(:class:`~repro.serve.fleet.TimingFleet`, ``--workers N``) or the
+in-process :class:`~repro.serve.fleet.InProcessBackend` (``--workers
+0``), whose thread pool hands results back through the self-pipe.
 Requests never block the loop: a ``/predict`` is forwarded to its
-design's shard (:meth:`~repro.serve.fleet.TimingFleet.submit`) and the
-client socket simply stays quiet until the worker's response comes back
-through the pipe.  The loop therefore keeps accepting and serving other
-clients while any number of requests are in flight — concurrency is
-bounded by the per-worker queues, not by gateway threads.
+design's shard (``submit``) and the client socket simply stays quiet
+until the response comes back.  The loop therefore keeps accepting and
+serving other clients while any number of requests are in flight —
+concurrency is bounded by the backend's queues, not by gateway threads.
+
+Input limits: a header block over 64 KiB gets a 431, a
+``Content-Length`` over 16 MiB a 413, and a malformed request line or
+``Content-Length`` a 400.  Each is a canonical error body followed by a
+close; the loop keeps serving.
 
 Responses carry an ``X-Repro-Worker`` header naming the worker id that
 served them (``-`` for gateway-answered routes), which the affinity
@@ -29,19 +40,25 @@ tracer, then everything is torn down.
 
 from __future__ import annotations
 
+import collections
 import json
 import selectors
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs import get_metrics, get_tracer
 from repro.obs.merge import fold_metrics_snapshot, merge_worker_traces
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import api
 from repro.serve.api import ApiError
-from repro.serve.fleet import FleetOverloaded, TimingFleet, WorkerHandle
+from repro.serve.fleet import (
+    FleetOverloaded,
+    InProcessBackend,
+    TimingFleet,
+    WorkerHandle,
+)
 from repro.utils import get_logger
 
 logger = get_logger("serve.gateway")
@@ -51,6 +68,9 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Slack added to the gateway-side deadline backstop so the worker's own
 #: (better-worded, dispatcher-identical) 504 normally wins the race.
 _DEADLINE_GRACE_S = 0.5
+#: How long a connection closed after its response keeps being read (and
+#: discarded) while the client has not closed its end.
+_LINGER_S = 2.0
 
 
 class _Client:
@@ -65,6 +85,12 @@ class _Client:
         #: Parsing is paused while a request is in flight (no pipelining:
         #: the next request is read only after this response is written).
         self.busy = False
+        #: Set once the closing response is written: the write side is
+        #: shut and input is discarded until the client closes or this
+        #: ``perf_counter`` time passes.  Closing with unread input would
+        #: reset the connection, which can destroy the response before
+        #: the client reads it.
+        self.linger_until: Optional[float] = None
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -95,10 +121,10 @@ class _Exchange:
 
 
 class TimingGateway:
-    """Single-threaded async front end over a :class:`TimingFleet`."""
+    """Single-threaded async front end over a fleet or in-process backend."""
 
-    def __init__(self, fleet: TimingFleet, host: str = "127.0.0.1",
-                 port: int = 8787,
+    def __init__(self, fleet: Union[TimingFleet, InProcessBackend],
+                 host: str = "127.0.0.1", port: int = 8787,
                  model_info: Optional[Dict[str, Any]] = None) -> None:
         self.fleet = fleet
         self.host = host
@@ -112,10 +138,15 @@ class TimingGateway:
         self._exchanges: List[_Exchange] = []
         self._thread: Optional[threading.Thread] = None
         self._running = False
-        # Self-pipe: lets stop()/signal handlers wake the selector loop
-        # from another thread or from inside a signal frame.
+        # Self-pipe: lets stop()/signal handlers and backend threads wake
+        # the selector loop from another thread or from inside a signal
+        # frame.  Non-blocking on both ends: a full pipe already holds a
+        # pending wake-up, so a failed send loses nothing.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._posted: Deque[Callable[[], None]] = collections.deque()
+        fleet.attach(self.call_soon_threadsafe)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -148,6 +179,14 @@ class TimingGateway:
     def request_drain(self) -> None:
         """Begin a graceful drain without waiting (signal-handler safe)."""
         self.draining = True
+        self._wake()
+
+    def call_soon_threadsafe(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` on the loop thread; callable from any thread."""
+        self._posted.append(fn)
+        self._wake()
+
+    def _wake(self) -> None:
         try:
             self._wake_w.send(b"x")
         except OSError:
@@ -234,6 +273,9 @@ class TimingGateway:
                     "deadline_exceeded",
                     "request exceeded its deadline waiting on the fleet"))
         self._exchanges = [e for e in self._exchanges if not e.done]
+        for client in list(self._clients.values()):
+            if client.linger_until is not None and client.linger_until < now:
+                self._drop(client)
 
     def _on_event(self, key: selectors.SelectorKey) -> None:
         kind = key.data[0]
@@ -244,6 +286,8 @@ class TimingGateway:
                 self._wake_r.recv(4096)
             except OSError:
                 pass
+            while self._posted:
+                self._posted.popleft()()
         elif kind == "client":
             self._client_io(key.data[1], key.events)
         elif kind == "worker":
@@ -303,6 +347,8 @@ class TimingGateway:
             if not chunk:
                 self._drop(client)
                 return
+            if client.linger_until is not None:
+                return  # input after the closing response is discarded
             client.rbuf += chunk
             if len(client.rbuf) > _MAX_HEADER_BYTES + _MAX_BODY_BYTES:
                 self._drop(client)
@@ -346,7 +392,14 @@ class TimingGateway:
             return
         if not client.wbuf:
             if client.close_after_write:
-                self._drop(client)
+                try:
+                    client.sock.shutdown(socket.SHUT_WR)
+                except OSError:
+                    self._drop(client)
+                    return
+                client.linger_until = time.perf_counter() + _LINGER_S
+                client.rbuf = b""
+                self._interest(client)  # read-only from now on
                 return
             client.busy = False
             self._interest(client)
@@ -358,25 +411,35 @@ class TimingGateway:
     # ------------------------------------------------------------------
     def _try_parse(self, client: _Client) -> None:
         head_end = client.rbuf.find(b"\r\n\r\n")
-        if head_end < 0:
-            if len(client.rbuf) > _MAX_HEADER_BYTES:
-                self._drop(client)
+        if head_end < 0 and len(client.rbuf) <= _MAX_HEADER_BYTES:
+            return  # header block still in flight
+        if head_end < 0 or head_end > _MAX_HEADER_BYTES:
+            self._reject(client, 431, "headers_too_large",
+                         f"header block exceeds {_MAX_HEADER_BYTES} bytes")
             return
         head = client.rbuf[:head_end].decode("latin-1")
         lines = head.split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
         except ValueError:
-            self._drop(client)
+            self._reject(client, 400, "bad_request",
+                         f"malformed request line {lines[0][:80]!r}")
             return
         headers = {}
         for line in lines[1:]:
             if ":" in line:
                 k, v = line.split(":", 1)
                 headers[k.strip().lower()] = v.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._reject(client, 400, "bad_request",
+                         f"invalid Content-Length {raw_length[:80]!r}")
+            return
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
-            self._drop(client)
+            self._reject(client, 413, "payload_too_large",
+                         f"body of {length} bytes exceeds "
+                         f"{_MAX_BODY_BYTES} bytes")
             return
         total = head_end + 4 + length
         if len(client.rbuf) < total:
@@ -387,6 +450,13 @@ class TimingGateway:
         self._interest(client)
         keep_alive = headers.get("connection", "").lower() != "close"
         self._route(client, method, target, raw_body, keep_alive)
+
+    def _reject(self, client: _Client, status: int, code: str,
+                message: str) -> None:
+        """Answer a request the parser refused, then close the connection."""
+        client.busy = True
+        self._open_exchange(client, False, None, "-", "-").respond(
+            status, _error(code, message))
 
     def _route(self, client: _Client, method: str, target: str,
                raw_body: bytes, keep_alive: bool) -> None:
@@ -523,16 +593,22 @@ class TimingGateway:
 
     def _fold_metrics(self, snapshots: List[Any]) -> Dict[str, Any]:
         """One registry view over the gateway and every worker."""
+        own = get_metrics().snapshot()
+        snapshots = [snap for snap in snapshots if isinstance(snap, dict)]
+        if not snapshots:
+            # No worker registry to merge (the in-process backend records
+            # into this one): folding would flatten every histogram to
+            # its mean, so the snapshot is exact as it is.
+            return own
         merged = MetricsRegistry()
-        fold_metrics_snapshot(merged, get_metrics().snapshot())
+        fold_metrics_snapshot(merged, own)
         for snap in snapshots:
-            if isinstance(snap, dict):
-                fold_metrics_snapshot(merged, snap)
+            fold_metrics_snapshot(merged, snap)
         out = merged.snapshot()
         # The gateway's own latency histogram spans every request
         # end-to-end (client-observed); surface it unfolded so its
         # percentiles stay exact rather than approximate.
-        for name, value in get_metrics().snapshot().items():
+        for name, value in own.items():
             if name.startswith("serve.latency_ms"):
                 out[name] = value
         return out
@@ -579,6 +655,8 @@ def _render(status: int, payload: Dict[str, Any],
             headers: Dict[str, str]) -> bytes:
     data = json.dumps(payload).encode("utf-8")
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
+              413: "Payload Too Large",
+              431: "Request Header Fields Too Large",
               500: "Internal Server Error", 503: "Service Unavailable",
               504: "Gateway Timeout"}.get(status, "Status")
     lines = [f"HTTP/1.1 {status} {reason}",

@@ -3,7 +3,7 @@
 One worker owns a disjoint subset of the fleet's designs (the gateway
 routes by design-session affinity, so a design's session lives in
 exactly one process at a time).  The process layout mirrors the
-in-process server so the two paths stay bit-identical:
+in-process backend so the two paths stay bit-identical:
 
 * the model is rebuilt from the **shared-memory artifact** with
   ``share_state=True`` — parameters are read-only views into the one
@@ -16,8 +16,8 @@ in-process server so the two paths stay bit-identical:
   inferences through one :class:`~repro.serve.MicroBatcher`, so a burst
   within a worker coalesces into a single packed forward;
 * request handling is the same
-  :class:`~repro.serve.dispatch.RequestDispatcher` the threaded server
-  uses.
+  :class:`~repro.serve.dispatch.RequestDispatcher` the in-process
+  backend uses.
 
 Wire protocol (tuples over a ``multiprocessing`` duplex pipe; the
 gateway end lives in :mod:`repro.serve.fleet`):

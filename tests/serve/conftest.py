@@ -15,10 +15,26 @@ import pytest
 
 from repro.core import ModelConfig, TimingPredictor, TrainerConfig
 from repro.flow import FlowConfig, run_flow
-from repro.serve import FleetConfig, TimingFleet, TimingGateway
+from repro.serve import (
+    FleetConfig,
+    InProcessBackend,
+    TimingFleet,
+    TimingGateway,
+)
 
 MAP_BINS = 32
 FLOW_CONFIG = FlowConfig(scale=0.25, base_seed=0)
+
+
+def start_inprocess(sessions, *, batcher=None, model_info=None,
+                    **config_overrides) -> TimingGateway:
+    """The ``repro serve --workers 0`` stack on a free port: a gateway
+    over an in-process backend.  The caller stops it."""
+    config = dict(threads=2, deadline_s=20.0)
+    config.update(config_overrides)
+    backend = InProcessBackend(sessions, FleetConfig(workers=0, **config),
+                               batcher=batcher)
+    return TimingGateway(backend, port=0, model_info=model_info).start()
 
 
 @pytest.fixture(scope="package")

@@ -1,11 +1,12 @@
 """Differential test: the fleet is bit-identical to the in-process path.
 
-The same request stream is driven through
+The same request stream is driven over real HTTP through the gateway
+in front of
 
-* the in-process server path (``repro serve --workers 0``): sessions +
-  micro-batcher + ``RequestDispatcher``, and
-* the sharded fleet (``--workers 4``): gateway → worker processes
-  mapping the shared-memory artifact,
+* the in-process backend (``repro serve --workers 0``): sessions +
+  micro-batcher + ``RequestDispatcher`` on a thread pool, and
+* the sharded fleet (``--workers 4``): worker processes mapping the
+  shared-memory artifact,
 
 and every response is compared **exactly** — float-for-float on
 predictions, byte-for-byte on error bodies.  Only volatile wall-clock
@@ -28,9 +29,9 @@ import pytest
 
 from repro.core import TimingPredictor
 from repro.flow import run_flow
-from repro.serve import DesignSession, MicroBatcher, RequestDispatcher
+from repro.serve import DesignSession, MicroBatcher
 
-from .conftest import FLOW_CONFIG, http_call
+from .conftest import FLOW_CONFIG, http_call, start_inprocess
 
 DESIGNS = ("xgate", "chacha")
 
@@ -74,6 +75,15 @@ STREAM = [
 _VOLATILE_KEYS = ("latency_ms", "uptime_s", "whatifs_served")
 
 
+def _http_stream(address):
+    out = []
+    for method, path, body in STREAM:
+        status, _, payload = http_call(address, method, path, body,
+                                       timeout=60.0)
+        out.append((status, payload))
+    return out
+
+
 def _normalize(payload):
     """Strip wall-clock fields; everything else must match exactly."""
     if isinstance(payload, dict):
@@ -91,7 +101,8 @@ def flows():
 
 @pytest.fixture(scope="module")
 def inprocess_responses(flows, artifact_payload):
-    """The stream through sessions + batcher + dispatcher (workers 0)."""
+    """The stream through the gateway over sessions + batcher +
+    dispatcher in this process (workers 0)."""
     own_flows = {d: pickle.loads(pickle.dumps(f))
                  for d, f in flows.items()}
     predictor = TimingPredictor.from_artifact(
@@ -100,13 +111,11 @@ def inprocess_responses(flows, artifact_payload):
     sessions = {d: DesignSession(f, predictor, seed=0,
                                  infer=batcher.submit)
                 for d, f in own_flows.items()}
-    dispatcher = RequestDispatcher(sessions, max_concurrent=2,
-                                   deadline_s=20.0)
+    gateway = start_inprocess(sessions, batcher=batcher, threads=2)
     try:
-        return [dispatcher.handle_to_wire(method, path, body)
-                for method, path, body in STREAM]
+        return _http_stream(gateway.address)
     finally:
-        batcher.stop()
+        gateway.stop(drain_timeout_s=15.0)
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +128,7 @@ def fleet_responses(flows, artifact_payload):
                                     deadline_s=20.0)).start()
     gateway = TimingGateway(fleet, port=0).start()
     try:
-        out = []
-        for method, path, body in STREAM:
-            status, _, payload = http_call(gateway.address, method, path,
-                                           body, timeout=60.0)
-            out.append((status, payload))
-        return out
+        return _http_stream(gateway.address)
     finally:
         gateway.stop(drain_timeout_s=15.0)
 

@@ -1,7 +1,7 @@
 """Session lifecycle: DELETE /designs/<id>, idle-TTL eviction, release.
 
-The eviction path must behave identically over both transports (the
-in-process ``--workers 0`` dispatcher and the multi-process fleet), and
+The eviction path must behave identically on both gateway backends (the
+in-process ``--workers 0`` backend and the multi-process fleet), and
 closing a session must actually release what it pinned: plan-cache
 entries, the cached baseline, and — for sessions that own their
 predictor — the inference buffer arena.
@@ -17,11 +17,10 @@ import pytest
 from repro.core import TimingPredictor
 from repro.flow import run_flow
 from repro.ml.plancache import PLAN_CACHE
-from repro.serve import ServerConfig, TimingServer
 from repro.serve.dispatch import ApiError, RequestDispatcher
 from repro.serve.session import DesignSession
 
-from tests.serve.conftest import FLOW_CONFIG, http_call
+from tests.serve.conftest import FLOW_CONFIG, http_call, start_inprocess
 
 
 @pytest.fixture
@@ -128,7 +127,7 @@ def test_idle_ttl_skips_busy_sessions(own_session):
 
 
 # ----------------------------------------------------------------------
-# Transport differential: --workers 0 vs the fleet
+# Backend differential over HTTP: --workers 0 vs the fleet
 # ----------------------------------------------------------------------
 def _inproc_server(artifact_payload, flows):
     sessions = {
@@ -136,13 +135,12 @@ def _inproc_server(artifact_payload, flows):
                             TimingPredictor.from_artifact(artifact_payload),
                             seed=0)
         for name, flow in flows.items()}
-    return TimingServer(sessions, ServerConfig(port=0, max_workers=2,
-                                               deadline_s=20.0)).start()
+    return start_inprocess(sessions, threads=2, deadline_s=20.0)
 
 
 def test_delete_route_differential(artifact_payload, fleet_gateway):
-    """Identical (status, body) for the DELETE lifecycle over both
-    transports: unknown design, successful delete, repeat delete, and
+    """Identical (status, body) for the DELETE lifecycle on both
+    backends: unknown design, successful delete, repeat delete, and
     the post-delete predict 404."""
     flows = {d: run_flow(d, FLOW_CONFIG) for d in ("xgate", "steelcore")}
     server = _inproc_server(artifact_payload,

@@ -1,4 +1,5 @@
-"""HTTP front-end tests: routes, structured errors, concurrency."""
+"""HTTP front-end tests on ``--workers 0``: routes, structured errors,
+concurrency (the gateway over the in-process backend)."""
 
 from __future__ import annotations
 
@@ -9,21 +10,19 @@ import urllib.request
 
 import pytest
 
-from repro.serve import DesignSession, ServerConfig, TimingServer
+from repro.serve import DesignSession
 
 
 @pytest.fixture(scope="module")
 def server(request, served_predictor):
     from repro.flow import run_flow
 
-    from .conftest import FLOW_CONFIG
+    from .conftest import FLOW_CONFIG, start_inprocess
 
     flow = run_flow("xgate", FLOW_CONFIG)
     session = DesignSession(flow, served_predictor)
-    srv = TimingServer({"xgate": session},
-                       ServerConfig(port=0, max_workers=4),
-                       model_info={"name": "test-model"})
-    srv.start()
+    srv = start_inprocess({"xgate": session}, threads=4, deadline_s=30.0,
+                          model_info={"name": "test-model"})
     request.addfinalizer(srv.stop)
     return srv
 
@@ -42,7 +41,7 @@ def call(server, method, path, body=None, timeout=30.0):
 
 
 def make_move_edit(server):
-    session = server.sessions["xgate"]
+    session = server.fleet.flows["xgate"]
     cid = next(iter(session.netlist.cells))
     return {"op": "move", "cell": cid, "x": 1.0, "y": 1.0}
 
