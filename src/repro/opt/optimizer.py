@@ -38,7 +38,7 @@ from repro.opt.moves import (
 from repro.opt.report import OptReport, diff_replaced_edges
 from scipy import ndimage
 
-from repro.placement import Placement, RowGrid, compute_layout_maps
+from repro.placement import Placement, RowGrid, compute_free_space
 from repro.timing import PreRouteEstimator, STAResult, build_timing_graph, run_sta
 from repro.utils import spawn_rng
 
@@ -95,16 +95,13 @@ class TimingOptimizer:
     # Layout gating
     # ------------------------------------------------------------------
     def _refresh_free_space(self) -> None:
-        maps = compute_layout_maps(self.netlist, self.placement,
-                                   m=self.config.gate_bins,
-                                   n=self.config.gate_bins)
+        bins = self.config.gate_bins
+        free = compute_free_space(self.netlist, self.placement, bins, bins)
         # Smooth over a 3x3 neighbourhood: a move can claim sites in the
         # adjacent bins, so nearby space counts as usable space.
-        self._free = ndimage.uniform_filter(maps.free_space(), size=3,
-                                            mode="nearest")
-        self._bin_w = maps.bin_w
-        self._bin_h = maps.bin_h
-
+        self._free = ndimage.uniform_filter(free, size=3, mode="nearest")
+        self._bin_w = self.placement.die.width / bins
+        self._bin_h = self.placement.die.height / bins
 
     def _free_space_at(self, x: float, y: float) -> float:
         i = int(np.clip(x / self._bin_w, 0, self._free.shape[0] - 1))

@@ -16,6 +16,7 @@ from repro.placement.density import (
     LayoutMaps,
     bin_span,
     cell_extent,
+    compute_free_space,
     compute_layout_maps,
     recompute_density_region,
     recompute_rudy_region,
@@ -41,6 +42,7 @@ __all__ = [
     "LayoutMaps",
     "bin_span",
     "cell_extent",
+    "compute_free_space",
     "compute_layout_maps",
     "recompute_density_region",
     "recompute_rudy_region",
