@@ -67,10 +67,10 @@ def rasterize_region(netlist: Netlist, placement: Placement,
     for drv, snk in net_edges:
         xd, yd = placement.pin_position(netlist, drv)
         xs, ys = placement.pin_position(netlist, snk)
-        i0 = int(np.clip(min(xd, xs) / bw, 0, side_x - 1))
-        i1 = int(np.clip(max(xd, xs) / bw, 0, side_x - 1))
-        j0 = int(np.clip(min(yd, ys) / bh, 0, side_y - 1))
-        j1 = int(np.clip(max(yd, ys) / bh, 0, side_y - 1))
+        i0 = int(min(max(min(xd, xs) / bw, 0), side_x - 1))
+        i1 = int(min(max(max(xd, xs) / bw, 0), side_x - 1))
+        j0 = int(min(max(min(yd, ys) / bh, 0), side_y - 1))
+        j1 = int(min(max(max(yd, ys) / bh, 0), side_y - 1))
         mask[i0:i1 + 1, j0:j1 + 1] = True
     return mask
 

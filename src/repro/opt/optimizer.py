@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-import numpy as np
-
 from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
 from repro.opt.config import OptimizerConfig
@@ -104,8 +102,8 @@ class TimingOptimizer:
         self._bin_h = self.placement.die.height / bins
 
     def _free_space_at(self, x: float, y: float) -> float:
-        i = int(np.clip(x / self._bin_w, 0, self._free.shape[0] - 1))
-        j = int(np.clip(y / self._bin_h, 0, self._free.shape[1] - 1))
+        i = int(min(max(x / self._bin_w, 0), self._free.shape[0] - 1))
+        j = int(min(max(y / self._bin_h, 0), self._free.shape[1] - 1))
         return float(self._free[i, j])
 
     def _gate(self, x: float, y: float) -> bool:
@@ -220,7 +218,7 @@ class TimingOptimizer:
             if pin.direction == "in" and pin.net is not None:
                 net = nl.nets[pin.net]
                 drv_cid = nl.pins[net.driver].cell
-                wire_delay = sta.net_edge_delay.get((net.driver, pin_id), 0.0)
+                wire_delay = sta.wire_delay(net.driver, pin_id)
                 # Decouple clearly non-critical sinks from the critical
                 # driver (gain: R_drive × moved capacitance on this arc;
                 # cost: one buffer delay on arcs that can afford it).

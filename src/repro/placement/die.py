@@ -79,8 +79,8 @@ class Die:
     def clamp(self, x: float, y: float,
               margin: float = 0.5) -> Tuple[float, float]:
         """Clamp a point into the placeable area (inside the outline)."""
-        return (float(np.clip(x, margin, self.width - margin)),
-                float(np.clip(y, margin, self.height - margin)))
+        return (float(min(max(x, margin), self.width - margin)),
+                float(min(max(y, margin), self.height - margin)))
 
 
 def build_die(netlist: Netlist, spec: DesignSpec, base_seed: int = 0) -> Die:

@@ -46,9 +46,9 @@ class Placement:
 
     def pin_positions(self, netlist: Netlist,
                       pids: List[int]) -> np.ndarray:
-        """Positions of many pins as an (n, 2) array."""
+        """Positions of many pins as an (n, 2) array, (0, 2) for none."""
         return np.array([self.pin_position(netlist, p) for p in pids],
-                        dtype=float)
+                        dtype=float).reshape(-1, 2)
 
     def net_hpwl(self, netlist: Netlist, nid: int) -> float:
         """Half-perimeter wirelength of one net."""

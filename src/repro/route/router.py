@@ -79,8 +79,8 @@ def route(netlist: Netlist, placement: Placement,
     v_usage = np.zeros((gx, gy))
 
     def gbin(x: float, y: float) -> Tuple[int, int]:
-        return (int(np.clip(x / config.gcell_um, 0, gx - 1)),
-                int(np.clip(y / config.gcell_um, 0, gy - 1)))
+        return (int(min(max(x / config.gcell_um, 0), gx - 1)),
+                int(min(max(y / config.gcell_um, 0), gy - 1)))
 
     # Collect all (driver, sink) connections with geometry, shortest first
     # (short connections take the direct path; long ones see congestion).

@@ -11,11 +11,13 @@ GNN message-passing schedule and longest-path masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.netlist import Netlist
+from repro.obs import get_tracer
 from repro.utils import require
 
 # Node kinds.
@@ -59,12 +61,71 @@ class TimingGraph:
     def n_levels(self) -> int:
         return len(self.levels)
 
+    @cached_property
+    def net_edge_of_sink(self) -> np.ndarray:
+        """(n,) index of each node's incoming net edge, -1 if it has none."""
+        edge = np.full(self.n_nodes, -1, dtype=np.int64)
+        edge[self.net_edge_dst] = np.arange(len(self.net_edge_dst))
+        return edge
+
     def predecessors(self, node: int) -> np.ndarray:
         return self.pred_idx[self.pred_ptr[node]:self.pred_ptr[node + 1]]
 
 
+def levelize(n: int, src: np.ndarray,
+             dst: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Topological levels of the DAG on nodes ``0..n-1`` with edges
+    ``src[k] -> dst[k]``: ``(level per node, ascending nodes per level)``.
+
+    Kahn's algorithm as a frontier sweep over the successor CSR: each
+    step gathers the frontier's successors, decrements their indegrees
+    with one bincount, and the touched nodes that reach 0 are the next
+    level.  Nodes without edges sit at level 0; a cycle fails.
+    """
+    indeg = np.bincount(dst, minlength=n)
+    outdeg = np.bincount(src, minlength=n)
+    succ_idx = dst[np.argsort(src, kind="stable")]
+    succ_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(outdeg, out=succ_ptr[1:])
+    level = np.zeros(n, dtype=np.int64)
+    levels: List[np.ndarray] = []
+    visited = 0
+    cur = np.flatnonzero(indeg == 0)
+    while len(cur):
+        levels.append(np.sort(cur))
+        level[cur] = len(levels) - 1
+        visited += len(cur)
+        # CSR rows of the frontier, back to back: entry j of row u sits at
+        # succ_ptr[u] + j, i.e. at its gather position shifted by the
+        # row's start minus the row's offset in the gather.
+        counts = outdeg[cur]
+        ends = np.cumsum(counts)
+        if not ends[-1]:
+            break
+        shift = np.repeat(succ_ptr[cur] - (ends - counts), counts)
+        succ = succ_idx[np.arange(ends[-1]) + shift]
+        dec = np.bincount(succ, minlength=n)
+        touched = np.flatnonzero(dec)
+        left = indeg[touched] - dec[touched]
+        indeg[touched] = left
+        cur = touched[left == 0]
+    require(visited == n, "netlist timing graph contains a cycle")
+    return level, levels
+
+
 def build_timing_graph(netlist: Netlist) -> TimingGraph:
-    """Construct the pin-level DAG and its topological levels."""
+    """Construct the pin-level DAG and its topological levels.
+
+    Records one ``timing.graph.build`` span.
+    """
+    with get_tracer().span("timing.graph.build",
+                           design=netlist.name) as sp:
+        graph = _build_timing_graph(netlist)
+        sp.set(n_nodes=graph.n_nodes, n_levels=graph.n_levels)
+    return graph
+
+
+def _build_timing_graph(netlist: Netlist) -> TimingGraph:
     pin_ids = np.array(sorted(netlist.pins), dtype=np.int64)
     node_of = {int(p): i for i, p in enumerate(pin_ids)}
     n = len(pin_ids)
@@ -102,36 +163,7 @@ def build_timing_graph(netlist: Netlist) -> TimingGraph:
     np.add.at(pred_ptr, sorted_dst + 1, 1)
     pred_ptr = np.cumsum(pred_ptr)
 
-    # Kahn levelization.
-    indegree = np.zeros(n, dtype=np.int64)
-    np.add.at(indegree, all_dst, 1)
-    level = np.zeros(n, dtype=np.int64)
-    frontier = np.where(indegree == 0)[0]
-    levels: List[np.ndarray] = []
-    # Successor CSR for the sweep.
-    sorder = np.argsort(all_src, kind="stable")
-    succ_idx = all_dst[sorder]
-    succ_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(succ_ptr, all_src[sorder] + 1, 1)
-    succ_ptr = np.cumsum(succ_ptr)
-
-    visited = 0
-    cur = frontier
-    lvl = 0
-    indeg = indegree.copy()
-    while len(cur):
-        levels.append(np.sort(cur))
-        level[cur] = lvl
-        visited += len(cur)
-        nxt: List[int] = []
-        for u in cur:
-            for v in succ_idx[succ_ptr[u]:succ_ptr[u + 1]]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    nxt.append(int(v))
-        cur = np.asarray(nxt, dtype=np.int64)
-        lvl += 1
-    require(visited == n, "netlist timing graph contains a cycle")
+    level, levels = levelize(n, all_src, all_dst)
 
     endpoints = np.array(sorted(node_of[p] for p in netlist.endpoint_pins()),
                          dtype=np.int64)

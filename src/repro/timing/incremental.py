@@ -24,7 +24,11 @@ from repro.obs import get_metrics, get_tracer
 from repro.placement import Placement
 from repro.timing.graph import NET_SINK, TimingGraph, build_timing_graph
 from repro.timing.nldm import batch_nldm_for
-from repro.timing.rc import PreRouteEstimator, WireLengthProvider
+from repro.timing.rc import (
+    PreRouteEstimator,
+    WireLengthProvider,
+    edge_lengths,
+)
 from repro.timing.sta import (
     PI_INPUT_SLEW,
     PO_LOAD_FF,
@@ -65,14 +69,9 @@ class IncrementalSTA:
         for i in range(n):
             self._refresh_node_static(i)
 
-        e_dst = g.net_edge_dst
-        self._edge_of_sink = np.full(n, -1, dtype=np.int64)
-        self._edge_of_sink[e_dst] = np.arange(len(e_dst))
-        self._wire_len = np.empty(len(g.net_edge_src))
-        for k in range(len(g.net_edge_src)):
-            self._wire_len[k] = self.wires.length(
-                int(g.pin_ids[g.net_edge_src[k]]),
-                int(g.pin_ids[e_dst[k]]))
+        self._edge_of_sink = g.net_edge_of_sink
+        self._wire_len = edge_lengths(self.wires, g.pin_ids[g.net_edge_src],
+                                      g.pin_ids[g.net_edge_dst])
         self._recompute_wire_terms()
         self._cell_delay = np.zeros(len(g.cell_edge_src))
         self._arrival = np.full(n, -np.inf)
@@ -245,7 +244,7 @@ class IncrementalSTA:
                                         - self._arrival[node])
             required[node] = self.clock_period - setup
 
-        e_src, e_dst = g.net_edge_src, g.net_edge_dst
+        e_src = g.net_edge_src
         c_src, c_dst = g.cell_edge_src, g.cell_edge_dst
         for lvl in range(g.n_levels - 1, 0, -1):
             nodes = g.levels[lvl]
@@ -260,12 +259,6 @@ class IncrementalSTA:
                               required[c_dst[mask]]
                               - self._cell_delay[mask])
 
-        net_edge_delay = {
-            (int(g.pin_ids[e_src[k]]), int(g.pin_ids[e_dst[k]])):
-                float(self._wire_delay[k]) for k in range(len(e_src))}
-        cell_edge_delay = {
-            (int(g.pin_ids[c_src[k]]), int(g.pin_ids[c_dst[k]])):
-                float(self._cell_delay[k]) for k in range(len(c_src))}
         return STAResult(
             graph=g,
             clock_period=self.clock_period,
@@ -276,6 +269,6 @@ class IncrementalSTA:
             best_pred=self._best_pred.copy(),
             endpoint_arrival=endpoint_arrival,
             endpoint_slack=endpoint_slack,
-            net_edge_delay=net_edge_delay,
-            cell_edge_delay=cell_edge_delay,
+            net_delay=self._wire_delay.copy(),
+            cell_delay=self._cell_delay.copy(),
         )

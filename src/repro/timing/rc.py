@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.netlist import Netlist
 from repro.placement import Placement
 
@@ -23,6 +25,14 @@ class WireLengthProvider:
 
     def length(self, driver_pin: int, sink_pin: int) -> float:
         raise NotImplementedError
+
+    def lengths_of(self, drivers: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+        """Wire lengths of many (driver, sink) pin pairs as one array."""
+        return np.fromiter(
+            (self.length(d, s)
+             for d, s in zip(np.asarray(drivers).tolist(),
+                             np.asarray(sinks).tolist())),
+            dtype=float, count=len(drivers))
 
 
 @dataclass
@@ -37,6 +47,14 @@ class PreRouteEstimator(WireLengthProvider):
         xs, ys = self.placement.pin_position(self.netlist, sink_pin)
         return abs(xd - xs) + abs(yd - ys)
 
+    def lengths_of(self, drivers: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+        """Manhattan lengths from one gather of the distinct pins' positions."""
+        pins, where = np.unique(np.concatenate([drivers, sinks]),
+                                return_inverse=True)
+        pts = self.placement.pin_positions(self.netlist, pins.tolist())
+        d, s = pts[where[:len(drivers)]], pts[where[len(drivers):]]
+        return np.abs(d[:, 0] - s[:, 0]) + np.abs(d[:, 1] - s[:, 1])
+
 
 @dataclass
 class RoutedLengths(WireLengthProvider):
@@ -50,3 +68,15 @@ class RoutedLengths(WireLengthProvider):
     def set_length(self, driver_pin: int, sink_pin: int,
                    value: float) -> None:
         self.lengths[(driver_pin, sink_pin)] = value
+
+
+def edge_lengths(wires, drivers: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+    """Wire lengths of many pin pairs from any provider.
+
+    Providers that only define ``length()`` (duck-typed, not subclassing
+    :class:`WireLengthProvider`) are asked edge by edge.
+    """
+    batch = getattr(wires, "lengths_of", None)
+    if batch is None:
+        return WireLengthProvider.lengths_of(wires, drivers, sinks)
+    return batch(drivers, sinks)

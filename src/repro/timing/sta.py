@@ -9,8 +9,9 @@ same engine produces both the pre-routing estimate and the sign-off timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from repro.obs import get_metrics, get_tracer
 from repro.timing.constraints import TimingConstraints
 from repro.timing.graph import CELL_OUT, NET_SINK, SOURCE, TimingGraph
 from repro.timing.nldm import batch_nldm_for
-from repro.timing.rc import WireLengthProvider
+from repro.timing.rc import WireLengthProvider, edge_lengths
 from repro.utils import require
 
 #: Electrical boundary conditions.
@@ -41,8 +42,38 @@ class STAResult:
     best_pred: np.ndarray          # (n,) winning predecessor node (-1 = none)
     endpoint_arrival: Dict[int, float]   # endpoint pin id -> arrival
     endpoint_slack: Dict[int, float]     # endpoint pin id -> slack
-    net_edge_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    cell_edge_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    # Per-edge delays in the graph's net / cell edge order, ps.
+    net_delay: Optional[np.ndarray] = None    # (E_n,)
+    cell_delay: Optional[np.ndarray] = None   # (E_c,)
+
+    @cached_property
+    def net_edge_delay(self) -> Dict[Tuple[int, int], float]:
+        """(driver pin, sink pin) -> wire delay, built on first read."""
+        g = self.graph
+        return _edge_dict(g.pin_ids, g.net_edge_src, g.net_edge_dst,
+                          self.net_delay)
+
+    @cached_property
+    def cell_edge_delay(self) -> Dict[Tuple[int, int], float]:
+        """(input pin, output pin) -> cell arc delay, built on first read."""
+        g = self.graph
+        return _edge_dict(g.pin_ids, g.cell_edge_src, g.cell_edge_dst,
+                          self.cell_delay)
+
+    def wire_delay(self, driver_pin: int, sink_pin: int) -> float:
+        """Delay of net edge *driver_pin* → *sink_pin*; 0.0 if the graph
+        has no such edge.  Same as ``net_edge_delay.get(...)``, without
+        building the dict."""
+        if self.net_delay is None:  # hand-built or pre-array result
+            return self.net_edge_delay.get((driver_pin, sink_pin), 0.0)
+        g = self.graph
+        sink = g.node_of.get(sink_pin)
+        if sink is None:
+            return 0.0
+        edge = g.net_edge_of_sink[sink]
+        if edge < 0 or g.pin_ids[g.net_edge_src[edge]] != driver_pin:
+            return 0.0
+        return float(self.net_delay[edge])
 
     @property
     def node_slack(self) -> np.ndarray:
@@ -81,6 +112,14 @@ class STAResult:
             node = int(self.best_pred[node])
             path.append(node)
         return [int(g.pin_ids[v]) for v in reversed(path)]
+
+
+def _edge_dict(pin_ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               delay: Optional[np.ndarray]) -> Dict[Tuple[int, int], float]:
+    if delay is None:
+        return {}
+    return dict(zip(zip(pin_ids[src].tolist(), pin_ids[dst].tolist()),
+                    delay.tolist()))
 
 
 def _argmax_per_dst(cand: np.ndarray, dst: np.ndarray,
@@ -163,10 +202,7 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
     # Net-edge wire delays and per-driver total loads (star Elmore).
     e_src = graph.net_edge_src
     e_dst = graph.net_edge_dst
-    wire_len = np.empty(len(e_src))
-    for k in range(len(e_src)):
-        wire_len[k] = wires.length(int(graph.pin_ids[e_src[k]]),
-                                   int(graph.pin_ids[e_dst[k]]))
+    wire_len = edge_lengths(wires, graph.pin_ids[e_src], graph.pin_ids[e_dst])
     w = lib.wire
     wire_delay = w.resistance(wire_len) * (
         0.5 * w.capacitance(wire_len) + pin_cap[e_dst])
@@ -175,9 +211,7 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
     load = np.zeros(n)
     np.add.at(load, e_src, pin_cap[e_dst] + w.capacitance(wire_len))
 
-    # Map each NET_SINK node to its incoming net edge.
-    edge_of_sink = np.full(n, -1, dtype=np.int64)
-    edge_of_sink[e_dst] = np.arange(len(e_dst))
+    edge_of_sink = graph.net_edge_of_sink
 
     # Group cell edges by the level of their output node.
     c_src = graph.cell_edge_src
@@ -278,16 +312,6 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
             np.minimum.at(required, c_src[chunk],
                           required[c_dst[chunk]] - cell_delay[chunk])
 
-    net_edge_delay = {
-        (int(graph.pin_ids[e_src[k]]), int(graph.pin_ids[e_dst[k]])):
-            float(wire_delay[k])
-        for k in range(len(e_src))
-    }
-    cell_edge_delay = {
-        (int(graph.pin_ids[c_src[k]]), int(graph.pin_ids[c_dst[k]])):
-            float(cell_delay[k])
-        for k in range(len(c_src))
-    }
     return STAResult(
         graph=graph,
         clock_period=clock_period,
@@ -298,6 +322,6 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
         best_pred=best_pred,
         endpoint_arrival=endpoint_arrival,
         endpoint_slack=endpoint_slack,
-        net_edge_delay=net_edge_delay,
-        cell_edge_delay=cell_edge_delay,
+        net_delay=wire_delay,
+        cell_delay=cell_delay,
     )

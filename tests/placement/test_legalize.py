@@ -79,7 +79,8 @@ def test_find_site_near_prefers_near(legalized):
 def test_find_site_respects_max_disp(legalized):
     nl, die, pl, _ = legalized
     grid = RowGrid(die)
-    grid.occupied[:, :] = True  # everything full
+    for row in range(grid.n_rows):  # everything full
+        grid.block(row, 0, grid.n_sites)
     new = nl.add_cell("BUF_X1")
     assert not find_site_near(nl, pl, grid, new.cid, 1.0, 1.0, max_disp=5.0)
     del nl.cells[new.cid]  # cleanup without wiring
@@ -111,8 +112,8 @@ def test_free_run_near_finds_nearest():
     from repro.placement import Die
     die = Die(width=20.0, height=5.0)
     grid = RowGrid(die)
-    grid.occupied[0, 8:12] = True
+    grid.block(0, 8, 4)
     start = grid.free_run_near(0, 9, 2)
     assert start in (6, 12)  # nearest free run of width 2 around col 9
-    grid.occupied[0, :] = True
+    grid.block(0, 0, grid.n_sites)
     assert grid.free_run_near(0, 9, 1) == -1

@@ -75,3 +75,12 @@ def test_cells_avoid_macros():
     pl = place(nl, die, PlacerConfig())
     inside = sum(1 for x, y in pl.cell_xy.values() if die.in_macro(x, y))
     assert inside == 0
+
+
+def test_pin_positions_of_no_pins_is_empty_2d(placed):
+    nl, _, pl = placed
+    pts = pl.pin_positions(nl, [])
+    assert pts.shape == (0, 2)
+    assert pts[:, 0].shape == (0,)
+    pid = next(iter(nl.pins))
+    assert pl.pin_positions(nl, [pid]).shape == (1, 2)
