@@ -149,11 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--microbatch-wait-ms", type=float, default=2.0,
                        help="how long a micro-batch waits for company "
                             "after its first request arrives")
-    p_srv.add_argument("--precision", choices=("fp64", "fp32", "int8"),
+    p_srv.add_argument("--precision", choices=("fp64", "fp32"),
                        default="fp64",
-                       help="inference tier: fp64 (bit-exact default), "
-                            "fp32 (toleranced), or int8 (per-channel "
-                            "weight quantization)")
+                       help="inference tier: fp64 (bit-exact default) or "
+                            "fp32 (toleranced)")
     p_srv.add_argument("--plan-cache", type=Path, default=None,
                        help="directory for the persistent packed-plan "
                             "cache (workers warm-start merged level "
@@ -399,6 +398,24 @@ def cmd_serve(args) -> int:
 
     corner_set = CornerSet.parse(args.corners)
     corner_names = corner_set.names
+    registry = PredictorRegistry()
+    have_model = args.model.exists()
+    if have_model:
+        # Validate the artifact before paying for any flow.
+        try:
+            meta = registry.register("default", args.model)
+        except ValueError as exc:   # the message leads with the path
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        map_bins = meta["map_bins"]
+        model_corners = meta.get("corners", ["base"])
+        missing = [c for c in corner_names if c not in model_corners]
+        if missing:
+            print(f"error: corner(s) {missing} not in model "
+                  f"{args.model} (trained on: {model_corners})",
+                  file=sys.stderr)
+            return 1
+
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
@@ -413,19 +430,7 @@ def cmd_serve(args) -> int:
 
         configure_plan_cache(args.plan_cache)
 
-    registry = PredictorRegistry()
-    if args.model.exists():
-        registry.register("default", args.model)
-        meta = registry.describe("default")
-        map_bins = meta["map_bins"]
-        model_corners = meta.get("corners", ["base"])
-        missing = [c for c in corner_names if c not in model_corners]
-        if missing:
-            print(f"error: corner(s) {missing} not in model "
-                  f"{args.model} (trained on: {model_corners})",
-                  file=sys.stderr)
-            return 1
-    else:
+    if not have_model:
         print(f"model {args.model} not found; bootstrapping a "
               f"{args.bootstrap_epochs}-epoch predictor on "
               f"{sorted(flows)}")

@@ -8,7 +8,6 @@ instead of running optimization + routing + sign-off STA (Table III).
 from __future__ import annotations
 
 import pickle
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -22,27 +21,20 @@ from repro.ml.batch import PackedBatch
 from repro.ml.sample import DesignSample
 from repro.nn import (
     PRECISIONS,
-    Conv2d,
-    Linear,
     Workspace,
-    dequantize,
     load_state_dict,
-    quantize_per_channel,
     state_dict,
     workspace,
 )
 from repro.obs import get_metrics, get_tracer
 from repro.utils import require
 
-#: Version of the on-disk predictor artifact.  v1 was an implicit,
-#: unversioned pickle of a :class:`ModelConfig` instance; v2 stores a
-#: plain-dict payload so artifacts survive dataclass refactors; v3 adds
-#: a ``precision`` field and allows int8-quantized weight entries
-#: (``{"quant", "q", "scale"}`` dicts) in ``state``; v4 adds MMMC
-#: corner conditioning (``model_config`` may carry ``corner_names`` /
-#: ``corner_embed`` and ``state`` the corner-embedding table).  Bump on
-#: any payload layout change and teach
-#: :meth:`TimingPredictor.from_artifact` the migration.
+#: Version of the on-disk predictor artifact, the only one this build
+#: reads or writes.  A v4 payload is plain data: the ``ModelConfig``
+#: fields as a dict (including the MMMC ``corner_names`` /
+#: ``corner_embed``), the dense fp64 ``state`` arrays, the label ``norm``
+#: and the serving ``precision``.  Bump on any payload layout change;
+#: older artifacts are rejected and must be re-trained or re-saved.
 ARTIFACT_SCHEMA_VERSION = 4
 ARTIFACT_FORMAT = "repro.timing-predictor"
 
@@ -52,10 +44,6 @@ ARTIFACT_FORMAT = "repro.timing-predictor"
 #: budget is enforced in ``tests/nn/test_precision.py`` and the
 #: ``precision-smoke`` CI job (see DESIGN.md "Precision & memory tiers").
 FP32_TOLERANCE = {"rtol": 1e-4, "atol": 5e-2}
-
-#: Maximum allowed degradation of the endpoint-arrival R² (the Table II
-#: accuracy metric) when serving int8-quantized weights instead of fp64.
-INT8_R2_BUDGET = 0.05
 
 
 class TimingPredictor:
@@ -99,15 +87,14 @@ class TimingPredictor:
             sample_or_batch.partition_pins = self.partition_pins
 
     def set_precision(self, mode: str) -> None:
-        """Switch the inference tier: ``fp64`` (bit-exact default),
-        ``fp32`` (single-precision end to end, tolerance-budgeted) or
-        ``int8`` (per-channel weight quantization, fp32 compute)."""
+        """Switch the inference tier: ``fp64`` (bit-exact default) or
+        ``fp32`` (single-precision end to end, tolerance-budgeted)."""
         require(mode in PRECISIONS,
                 f"unknown precision {mode!r} (expected one of {PRECISIONS})")
         self.model.set_inference_precision(mode)
         self.precision = mode
         get_metrics().gauge("model.precision_bits").set(
-            {"fp64": 64, "fp32": 32, "int8": 8}[mode])
+            {"fp64": 64, "fp32": 32}[mode])
 
     def release_workspace(self) -> None:
         """Drop pooled inference buffers (e.g. on session teardown)."""
@@ -202,52 +189,24 @@ class TimingPredictor:
         Everything is stdlib/numpy data — no repro classes are pickled,
         so saved artifacts keep loading across dataclass refactors.
 
-        *precision* defaults to the predictor's active tier.  ``int8``
-        stores every Linear/Conv2d weight as a per-channel-quantized
-        ``{"quant", "q", "scale"}`` entry (8× smaller weight storage in
-        the artifact and the fleet's shared-memory segment); ``fp64`` /
-        ``fp32`` store the full fp64 master weights — fp32 is a serving
-        tier, not a storage format, so switching back stays lossless.
+        *precision* defaults to the predictor's active tier.  The state
+        always holds the fp64 master weights — fp32 is a serving tier,
+        not a storage format, so switching back stays lossless.
         """
         require(self.trainer.norm is not None, "fit() before save()")
         precision = precision or self.precision
         require(precision in PRECISIONS,
                 f"unknown precision {precision!r} "
                 f"(expected one of {PRECISIONS})")
-        if precision == "int8":
-            state = self._quantized_state()
-        else:
-            state = state_dict(self.model)
         return {
             "format": ARTIFACT_FORMAT,
             "schema_version": ARTIFACT_SCHEMA_VERSION,
             "model_config": asdict(self.model_config),
-            "state": state,
+            "state": state_dict(self.model),
             "norm": {"mean": self.trainer.norm.mean,
                      "std": self.trainer.norm.std},
             "precision": precision,
         }
-
-    def _quantized_state(self) -> List[Any]:
-        """``state_dict`` with Linear/Conv2d weights quantized to int8.
-
-        An already-active int8 tier re-exports its installed payloads
-        verbatim, so artifact round-trips never re-quantize.
-        """
-        layer_of = {id(m.weight): m for m in self.model.modules()
-                    if isinstance(m, (Linear, Conv2d))}
-        state: List[Any] = []
-        for p in self.model.parameters():
-            layer = layer_of.get(id(p))
-            if layer is None:
-                state.append(p.data.copy())
-            elif getattr(layer, "_quant", None) is not None:
-                q = layer._quant
-                state.append({"quant": q["quant"], "q": q["q"].copy(),
-                              "scale": np.asarray(q["scale"]).copy()})
-            else:
-                state.append(quantize_per_channel(p.data))
-        return state
 
     def save(self, path: Path, precision: Optional[str] = None) -> None:
         """Persist config, weights and label normalization (schema v4)."""
@@ -258,21 +217,13 @@ class TimingPredictor:
     def from_artifact(cls, payload: Any,
                       source: str = "<memory>",
                       share_state: bool = False) -> "TimingPredictor":
-        """Reconstruct a predictor from an artifact payload.
+        """Reconstruct a predictor from a schema-v4 artifact payload.
 
-        Accepts the current schema (v4), the previous v3 and v2 (whose
-        ``model_config`` dicts lack ``corner_names`` and default to the
-        single implicit base corner), or the legacy unversioned format
-        (a pickled ``ModelConfig`` + ``(mean, std)`` tuple) with a
-        :class:`DeprecationWarning`.  Unknown newer versions are
-        rejected with an actionable error instead of mis-loading
-        silently.
-
-        A payload carrying int8-quantized weight entries is restored
-        with the stored ``q``/``scale`` payloads installed **verbatim**
-        (re-quantizing the dequantized weights could drift the scales by
-        an ulp), and the predictor comes back with its ``precision``
-        tier already applied.
+        Anything else — the legacy unversioned pickle, a v2/v3 payload,
+        a v4 payload carrying the removed int8 ``{"quant", "q",
+        "scale"}`` weight entries, or a v4 payload with missing or
+        mistyped fields — raises one :class:`ValueError` that names
+        *source* and says to re-train or re-save the predictor.
 
         ``share_state=True`` adopts the payload's weight arrays by
         reference instead of copying (inference-only; used by the
@@ -280,51 +231,59 @@ class TimingPredictor:
         read-only shared-memory segment — see :mod:`repro.serve.shm`).
         """
         if not isinstance(payload, dict) or "model_config" not in payload:
-            raise ValueError(
-                f"{source} is not a repro predictor artifact "
-                "(expected a dict payload with a 'model_config' entry)")
+            raise _invalid_artifact(
+                source, "not a repro predictor artifact (expected a dict "
+                "payload with a 'model_config' entry)")
         version = payload.get("schema_version")
-        if version is None:
-            warnings.warn(
-                f"{source} uses the legacy unversioned predictor format; "
-                "re-save it with TimingPredictor.save() to upgrade to "
-                f"schema v{ARTIFACT_SCHEMA_VERSION}",
-                DeprecationWarning, stacklevel=2)
-            model_config = payload["model_config"]
-            mean, std = payload["norm"]
-        elif version in (2, 3, ARTIFACT_SCHEMA_VERSION):
-            model_config = ModelConfig(**payload["model_config"])
-            mean, std = payload["norm"]["mean"], payload["norm"]["std"]
-        else:
-            raise ValueError(
-                f"{source} has predictor artifact schema_version "
-                f"{version!r}, but this build only supports "
-                f"{ARTIFACT_SCHEMA_VERSION} (and the legacy unversioned "
-                "format). Upgrade repro to load it, or re-train and "
-                "re-save the predictor with this version.")
-        predictor = cls(model_config=model_config)
-        state = payload["state"]
-        has_quant = any(isinstance(e, dict) for e in state)
-        dense = [dequantize(e["q"], e["scale"]) if isinstance(e, dict)
-                 else e for e in state]
-        load_state_dict(predictor.model, dense, copy=not share_state)
-        predictor.trainer.norm = LabelNorm(mean=mean, std=std)
-        precision = "int8" if has_quant else payload.get("precision",
-                                                         "fp64")
-        if precision != "fp64":
-            predictor.set_precision(precision)
-        if has_quant:
-            layer_of = {id(m.weight): m for m in predictor.model.modules()
-                        if isinstance(m, (Linear, Conv2d))}
-            for p, entry in zip(predictor.model.parameters(), state):
-                if isinstance(entry, dict):
-                    layer_of[id(p)]._install_quant(
-                        np.asarray(entry["q"]), np.asarray(entry["scale"]))
+        if version != ARTIFACT_SCHEMA_VERSION:
+            found = ("the legacy unversioned format" if version is None
+                     else f"schema_version {version!r}")
+            raise _invalid_artifact(
+                source, f"predictor artifact uses {found}, but this build "
+                f"reads only schema_version {ARTIFACT_SCHEMA_VERSION}")
+        state = payload.get("state")
+        if isinstance(state, list) and any(isinstance(e, dict)
+                                           for e in state):
+            raise _invalid_artifact(
+                source, "predictor artifact carries int8-quantized weight "
+                "entries, a tier this build no longer serves")
+        try:
+            predictor = cls(model_config=ModelConfig(
+                **payload["model_config"]))
+            load_state_dict(predictor.model, state, copy=not share_state)
+            predictor.trainer.norm = LabelNorm(
+                mean=payload["norm"]["mean"], std=payload["norm"]["std"])
+            precision = payload.get("precision", "fp64")
+            if precision != "fp64":
+                predictor.set_precision(precision)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _invalid_artifact(
+                source, f"malformed schema_version {ARTIFACT_SCHEMA_VERSION} "
+                f"payload ({type(exc).__name__}: {exc})") from exc
         return predictor
 
     @classmethod
     def load(cls, path: Path) -> "TimingPredictor":
-        """Load a saved artifact (current or legacy schema, see above)."""
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        return cls.from_artifact(payload, source=str(path))
+        """Load a saved schema-v4 artifact (see :meth:`from_artifact`)."""
+        return cls.from_artifact(read_artifact(path), source=str(path))
+
+
+def read_artifact(path: Path) -> Any:
+    """Unpickle an artifact file; a corrupt one raises ``ValueError``.
+
+    Only the unpickling is guarded: a missing or unreadable file still
+    raises the ``OSError`` that ``open`` gives.
+    """
+    with open(path, "rb") as fh:
+        try:
+            return pickle.load(fh)
+        except Exception as exc:  # truncated pickle, EOFError, garbage, ...
+            raise _invalid_artifact(
+                str(path), f"unreadable predictor artifact "
+                f"({type(exc).__name__}: {exc})") from exc
+
+
+def _invalid_artifact(source: str, reason: str) -> ValueError:
+    """The one artifact-rejection error: ``<source>: <reason>; <fix>``."""
+    return ValueError(f"{source}: {reason}; re-train the predictor, or "
+                      "re-save it with a build that still reads it")

@@ -22,7 +22,6 @@ from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.optim import SGD, Adam
 from repro.nn.init import kaiming_uniform, xavier_uniform
 from repro.nn.gradcheck import check_layer_gradients, numerical_grad
-from repro.nn.quant import QUANT_SCHEME, dequantize, quantize_per_channel
 from repro.nn.workspace import (
     Workspace,
     current_workspace,
@@ -39,9 +38,6 @@ __all__ = [
     "is_inference",
     "load_state_dict",
     "state_dict",
-    "QUANT_SCHEME",
-    "dequantize",
-    "quantize_per_channel",
     "Workspace",
     "current_workspace",
     "workspace",

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter, is_inference
-from repro.nn.quant import dequantize, quantize_per_channel
 from repro.nn.workspace import ws_empty
 from repro.utils import require
 
@@ -85,28 +84,13 @@ class Conv2d(Module):
         # Flat (O, C*k*k) effective weights for non-fp64 inference tiers.
         self._w_eff: Optional[np.ndarray] = None
         self._b_eff: Optional[np.ndarray] = None
-        self._quant = None
 
     def _set_precision(self, mode: str) -> None:
         self._precision = mode
         if mode == "fp64":
-            self._w_eff = self._b_eff = self._quant = None
+            self._w_eff = self._b_eff = None
             return
-        if mode == "int8":
-            self._quant = quantize_per_channel(self.weight.data)
-            w = dequantize(self._quant["q"], self._quant["scale"],
-                           dtype=np.float32)
-        else:
-            self._quant = None
-            w = self.weight.data.astype(np.float32)
-        self._w_eff = w.reshape(self.weight.shape[0], -1)
-        self._b_eff = self.bias.data.astype(np.float32)
-
-    def _install_quant(self, q: np.ndarray, scale: np.ndarray) -> None:
-        """Adopt a stored int8 payload verbatim (no requantization drift)."""
-        self._precision = "int8"
-        self._quant = {"quant": "int8-perchannel", "q": q, "scale": scale}
-        self._w_eff = dequantize(q, scale, dtype=np.float32).reshape(
+        self._w_eff = self.weight.data.astype(np.float32).reshape(
             self.weight.shape[0], -1)
         self._b_eff = self.bias.data.astype(np.float32)
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter, is_inference
-from repro.nn.quant import dequantize, quantize_per_channel
 from repro.nn.workspace import ws_empty
 from repro.utils import require
 
@@ -36,28 +35,13 @@ class Linear(Module):
         # master Parameter is never modified, so tiers are reversible.
         self._w_eff: Optional[np.ndarray] = None
         self._b_eff: Optional[np.ndarray] = None
-        self._quant = None
 
     def _set_precision(self, mode: str) -> None:
         self._precision = mode
         if mode == "fp64":
-            self._w_eff = self._b_eff = self._quant = None
+            self._w_eff = self._b_eff = None
             return
-        if mode == "int8":
-            self._quant = quantize_per_channel(self.weight.data)
-            self._w_eff = dequantize(self._quant["q"], self._quant["scale"],
-                                     dtype=np.float32)
-        else:
-            self._quant = None
-            self._w_eff = self.weight.data.astype(np.float32)
-        self._b_eff = (self.bias.data.astype(np.float32)
-                       if self.bias is not None else None)
-
-    def _install_quant(self, q: np.ndarray, scale: np.ndarray) -> None:
-        """Adopt a stored int8 payload verbatim (no requantization drift)."""
-        self._precision = "int8"
-        self._quant = {"quant": "int8-perchannel", "q": q, "scale": scale}
-        self._w_eff = dequantize(q, scale, dtype=np.float32)
+        self._w_eff = self.weight.data.astype(np.float32)
         self._b_eff = (self.bias.data.astype(np.float32)
                        if self.bias is not None else None)
 
@@ -111,7 +95,7 @@ class Embedding(Module):
 
     def _set_precision(self, mode: str) -> None:
         self._precision = mode
-        # The table is tiny (corners × dim); fp32/int8 tiers just keep a
+        # The table is tiny (corners × dim); the fp32 tier just keeps a
         # single-precision copy so gathered rows match the pipeline dtype.
         self._w_eff = (None if mode == "fp64"
                        else self.weight.data.astype(np.float32))

@@ -23,9 +23,8 @@ _INFERENCE = threading.local()
 
 #: Inference precision tiers (see DESIGN.md "Precision & memory tiers").
 #: ``fp64`` is the bit-exact default; ``fp32`` runs the whole forward in
-#: single precision; ``int8`` stores Linear/Conv weights quantized
-#: per-channel and computes in fp32.
-PRECISIONS = ("fp64", "fp32", "int8")
+#: single precision.
+PRECISIONS = ("fp64", "fp32")
 
 
 def is_inference() -> bool:
@@ -111,8 +110,8 @@ class Module:
     def set_inference_precision(self, mode: str) -> None:
         """Switch this module tree's inference tier (``PRECISIONS``).
 
-        ``fp64`` restores the exact default path; ``fp32``/``int8``
-        precompute per-layer effective weights.  Training requires
+        ``fp64`` restores the exact default path; ``fp32`` precomputes
+        per-layer effective weights.  Training requires
         ``fp64`` — layers raise from ``forward`` otherwise.  The master
         fp64 parameters are never modified, so switching back is
         lossless.

@@ -3,7 +3,7 @@
 Layering (see DESIGN.md):
 
 * :mod:`repro.serve.api` — the canonical typed request/response
-  schemas and the API versioning rules (v1 legacy / v2 corner-aware).
+  schemas and the one wire version (v2, corner-aware).
 * :class:`DesignSession` — one design's resident flow artifacts +
   prepared sample + incremental featurizer/STA; answers predictions and
   what-if edits (across every served sign-off corner) without
@@ -27,7 +27,6 @@ Layering (see DESIGN.md):
 
 from repro.serve.api import (
     CURRENT_API_VERSION,
-    LEGACY_API_VERSION,
     SUPPORTED_API_VERSIONS,
     ApiError,
     CornerReport,
@@ -39,7 +38,7 @@ from repro.serve.api import (
     WhatifResponse,
 )
 from repro.serve.batcher import MicroBatcher
-from repro.serve.dispatch import API_VERSION, Deadline, RequestDispatcher
+from repro.serve.dispatch import Deadline, RequestDispatcher
 from repro.serve.factory import SessionFactory
 from repro.serve.featurize import IncrementalFeaturizer
 from repro.serve.fleet import (
@@ -54,7 +53,6 @@ from repro.serve.session import EDIT_OPS, DesignSession, Edit
 from repro.serve.shm import SharedArtifact, ShmArtifactMeta, attach_artifact
 
 __all__ = [
-    "API_VERSION",
     "ApiError",
     "CURRENT_API_VERSION",
     "CornerReport",
@@ -68,7 +66,6 @@ __all__ = [
     "HealthResponse",
     "InProcessBackend",
     "IncrementalFeaturizer",
-    "LEGACY_API_VERSION",
     "MicroBatcher",
     "PredictRequest",
     "PredictResponse",

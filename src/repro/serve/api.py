@@ -6,55 +6,38 @@ dispatcher (in-process or in a fleet worker) or by the gateway itself —
 is built from (or parsed into) the dataclasses here, so the two
 backends and the gateway cannot drift apart shape-wise.
 
-API versioning rules (documented here and only here)
-----------------------------------------------------
+API version (documented here and only here)
+-------------------------------------------
 
-* ``v1`` — the legacy, corner-unaware protocol.  ``/predict`` and
-  ``/whatif`` take ``{design, endpoints?/edits, commit?, deadline_s?}``
-  and answer with a flat ``predictions`` block; ``/health`` reports
-  ``"api_version": "v1"``.
-* ``v2`` — the MMMC-aware superset.  Requests may carry a ``corner``
-  field selecting which sign-off corner fills the legacy
-  ``predictions`` block, and responses from a **multi-corner** server
-  additionally carry ``corners`` (per-corner arrival/slack reports) and
-  ``worst`` (the worst-corner summary).  For a single-corner server, v2
-  responses are byte-identical to v1 responses — v2 is a strict
-  superset, never a reshape.
+There is one wire version, ``v2`` (:data:`CURRENT_API_VERSION`), and
+every server advertises it as ``"api_version": "v2"`` on ``/health``.
 
-Negotiation: a request body may carry ``"api_version"``.
+* ``/predict`` and ``/whatif`` take ``{design, endpoints?/edits,
+  commit?, corner?, deadline_s?}``.  The optional ``corner`` field
+  selects which sign-off corner fills the ``predictions`` block
+  (default: the primary corner).
+* A **multi-corner** server adds ``corners`` (per-corner arrival/slack
+  reports) and ``worst`` (the worst-corner summary) to every
+  ``/predict`` and ``/whatif`` response.  A single-corner server never
+  does, so its bodies carry only the flat ``predictions`` shape.
 
-* absent → the current version (:data:`CURRENT_API_VERSION`).  Safe
-  because v2 only *adds* fields, and only on multi-corner servers.
-* ``"v1"`` → strict legacy semantics: the ``corner`` request field is
-  rejected with a 400 and the ``corners``/``worst`` response blocks are
-  suppressed even on a multi-corner server.  The first v1 request per
-  process emits a :class:`DeprecationWarning`.
-* anything else → 400 ``unsupported_api_version``.
-
-``/health`` advertises the highest version whose *new* shapes can
-actually appear: ``"v2"`` when the server serves more than one corner,
-``"v1"`` otherwise (which keeps single-corner deployments byte-stable
-across this redesign).
+A request body may carry ``"api_version"``: absent or ``"v2"`` is
+served; any other value is answered with a 400
+``unsupported_api_version`` error.  That includes ``"v1"``, the
+retired corner-unaware protocol — a client that still pins it gets
+the 400 and must drop the pin (a single-corner server answers the
+unpinned request with the same body v1 did).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.utils import get_logger
-
-logger = get_logger("serve.api")
-
-#: The current (highest) protocol version.
+#: The one protocol version this build speaks.
 CURRENT_API_VERSION = "v2"
-#: The legacy corner-unaware protocol.
-LEGACY_API_VERSION = "v1"
 #: Every version this build can answer.
-SUPPORTED_API_VERSIONS = (LEGACY_API_VERSION, CURRENT_API_VERSION)
-
-_warned_legacy = False
+SUPPORTED_API_VERSIONS = (CURRENT_API_VERSION,)
 
 
 class ApiError(Exception):
@@ -75,28 +58,11 @@ def error_wire(code: str, message: str) -> Dict[str, Any]:
     return {"error": {"code": code, "message": message}}
 
 
-def advertised_version(corners: Optional[Sequence[str]]) -> str:
-    """The version ``/health`` reports for a server serving *corners*."""
-    if corners is not None and len(corners) > 1:
-        return CURRENT_API_VERSION
-    return LEGACY_API_VERSION
-
-
 def negotiate_version(body: Optional[Dict[str, Any]]) -> str:
     """Resolve a request body's ``api_version`` (see module docstring)."""
-    global _warned_legacy
     raw = body.get("api_version") if isinstance(body, dict) else None
     if raw is None:
         return CURRENT_API_VERSION
-    if raw == LEGACY_API_VERSION:
-        if not _warned_legacy:
-            _warned_legacy = True
-            warnings.warn(
-                "serving API v1 is deprecated; omit 'api_version' (or send "
-                f"{CURRENT_API_VERSION!r}) to use the corner-aware protocol",
-                DeprecationWarning, stacklevel=3)
-            logger.warning("client pinned deprecated api_version 'v1'")
-        return LEGACY_API_VERSION
     if raw not in SUPPORTED_API_VERSIONS:
         raise ApiError(400, "unsupported_api_version",
                        f"api_version {raw!r} is not supported "
@@ -104,14 +70,10 @@ def negotiate_version(body: Optional[Dict[str, Any]]) -> str:
     return raw
 
 
-def _parse_corner(body: Dict[str, Any], api_version: str) -> Optional[str]:
+def _parse_corner(body: Dict[str, Any]) -> Optional[str]:
     corner = body.get("corner")
     if corner is None:
         return None
-    if api_version == LEGACY_API_VERSION:
-        raise ApiError(400, "bad_request",
-                       "'corner' requires api_version v2 "
-                       "(v1 is corner-unaware)")
     if not isinstance(corner, str):
         raise ApiError(400, "bad_request",
                        "'corner' must be a corner name string")
@@ -125,23 +87,21 @@ def _parse_corner(body: Dict[str, Any], api_version: str) -> Optional[str]:
 class PredictRequest:
     """``POST /predict`` — batched predictions at the committed state."""
 
-    api_version: str = CURRENT_API_VERSION
     design: Optional[str] = None
     endpoints: Optional[List[int]] = None
-    corner: Optional[str] = None          # v2 only; None = primary corner
+    corner: Optional[str] = None          # None = primary corner
     deadline_s: Optional[float] = None
 
     @classmethod
     def parse(cls, body: Dict[str, Any]) -> "PredictRequest":
-        version = negotiate_version(body)
+        negotiate_version(body)
         endpoints = body.get("endpoints")
         if endpoints is not None and not isinstance(endpoints, list):
             raise ApiError(400, "bad_request",
                            "'endpoints' must be a list of pin ids")
-        return cls(api_version=version,
-                   design=body.get("design"),
+        return cls(design=body.get("design"),
                    endpoints=endpoints,
-                   corner=_parse_corner(body, version),
+                   corner=_parse_corner(body),
                    deadline_s=body.get("deadline_s"))
 
 
@@ -149,25 +109,23 @@ class PredictRequest:
 class WhatifRequest:
     """``POST /whatif`` — edit, re-featurize, re-predict."""
 
-    api_version: str = CURRENT_API_VERSION
     design: Optional[str] = None
     edits: List[Dict[str, Any]] = field(default_factory=list)
     commit: bool = False
-    corner: Optional[str] = None          # v2 only; None = primary corner
+    corner: Optional[str] = None          # None = primary corner
     deadline_s: Optional[float] = None
 
     @classmethod
     def parse(cls, body: Dict[str, Any]) -> "WhatifRequest":
-        version = negotiate_version(body)
+        negotiate_version(body)
         edits = body.get("edits")
         if not isinstance(edits, list) or not edits:
             raise ApiError(400, "bad_request",
                            "'edits' must be a non-empty list")
-        return cls(api_version=version,
-                   design=body.get("design"),
+        return cls(design=body.get("design"),
                    edits=edits,
                    commit=bool(body.get("commit", False)),
-                   corner=_parse_corner(body, version),
+                   corner=_parse_corner(body),
                    deadline_s=body.get("deadline_s"))
 
 
@@ -206,7 +164,7 @@ def worst_corner_wire(reports: Sequence[CornerReport]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class PredictResponse:
-    """``POST /predict`` response (legacy keys first, v2 blocks last)."""
+    """``POST /predict`` response (flat keys first, corner blocks last)."""
 
     design: str
     revision: int
@@ -230,7 +188,7 @@ class PredictResponse:
 
 @dataclass(frozen=True)
 class WhatifResponse:
-    """``POST /whatif`` response (legacy keys first, v2 blocks last)."""
+    """``POST /whatif`` response (flat keys first, corner blocks last)."""
 
     design: str
     revision: int
@@ -243,11 +201,11 @@ class WhatifResponse:
     worst: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def from_session(cls, result: Dict[str, Any],
-                     include_corners: bool) -> "WhatifResponse":
-        """Wrap :meth:`DesignSession.whatif`'s dict; v1 drops the blocks."""
+    def from_session(cls, result: Dict[str, Any]) -> "WhatifResponse":
+        """Wrap :meth:`DesignSession.whatif`'s dict (corner blocks are
+        present exactly when the session serves several corners)."""
         reports = None
-        if include_corners and "corners" in result:
+        if "corners" in result:
             reports = [CornerReport.from_dict(dict(d, corner=name))
                        for name, d in result["corners"].items()]
         return cls(design=result["design"], revision=result["revision"],
@@ -255,7 +213,7 @@ class WhatifResponse:
                    predictions=result["predictions"],
                    pre_route=result["pre_route"], shift=result["shift"],
                    latency_ms=result["latency_ms"], corners=reports,
-                   worst=result.get("worst") if include_corners else None)
+                   worst=result.get("worst"))
 
     def to_wire(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -320,7 +278,7 @@ class HealthResponse:
     def to_wire(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "status": self.status,
-            "api_version": advertised_version(self.corners),
+            "api_version": CURRENT_API_VERSION,
             "designs": self.designs,
         }
         if self.corners is not None and len(self.corners) > 1:
@@ -340,13 +298,11 @@ __all__ = [
     "CornerReport",
     "DesignInfo",
     "HealthResponse",
-    "LEGACY_API_VERSION",
     "PredictRequest",
     "PredictResponse",
     "SUPPORTED_API_VERSIONS",
     "WhatifRequest",
     "WhatifResponse",
-    "advertised_version",
     "error_wire",
     "negotiate_version",
     "worst_corner_wire",

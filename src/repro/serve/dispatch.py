@@ -39,10 +39,6 @@ from repro.utils import get_logger
 
 logger = get_logger("serve.dispatch")
 
-#: Back-compat alias: the version a single-corner deployment advertises.
-#: The canonical versioning rules live in :mod:`repro.serve.api`.
-API_VERSION = api.LEGACY_API_VERSION
-
 
 class Deadline:
     """Tracks one request's time budget."""
@@ -205,10 +201,8 @@ class RequestDispatcher:
         req = api.PredictRequest.parse(body)
         session = self._session(req.design)
         self._check_corner(req, session)
-        with_corners = (len(session.corners) > 1
-                        and req.api_version != api.LEGACY_API_VERSION)
         try:
-            if with_corners:
+            if len(session.corners) > 1:
                 report = session.predict_report(
                     req.endpoints, deadline_s=deadline.remaining,
                     corner=req.corner)
@@ -297,6 +291,4 @@ class RequestDispatcher:
         except TimeoutError as exc:
             raise ApiError(504, "deadline_exceeded", str(exc)) from exc
         deadline.check("after whatif")
-        include = (req.api_version != api.LEGACY_API_VERSION
-                   and len(session.corners) > 1)
-        return api.WhatifResponse.from_session(result, include).to_wire()
+        return api.WhatifResponse.from_session(result).to_wire()

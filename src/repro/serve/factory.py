@@ -49,7 +49,7 @@ class SessionFactory:
         name).  Defaults to ``FlowConfig(base_seed=seed)`` per call.
     corners:
         Corner names every built session serves; ``None`` serves the
-        model's own ``corner_names`` (legacy models: just ``base``).
+        model's own ``corner_names`` (single-corner models: just ``base``).
     default_seed:
         Seed used when ``open`` is not given one explicitly.
     partition_pins:

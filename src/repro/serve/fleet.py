@@ -90,7 +90,7 @@ class FleetConfig:
     trace_dir: Optional[str] = None  # per-worker span files land here
     tracing: bool = False
     start_timeout_s: float = 120.0   # worker boot + session open budget
-    precision: str = "fp64"          # inference tier: fp64 | fp32 | int8
+    precision: str = "fp64"          # inference tier: fp64 | fp32
     plan_cache_dir: Optional[str] = None  # persistent packed-plan cache
     session_ttl_s: Optional[float] = None  # idle-session eviction TTL
     corners: Tuple[str, ...] = ("base",)  # sign-off corners every worker serves

@@ -5,7 +5,7 @@ that serve them:
 
 * ``register(name, path)`` validates an artifact eagerly — schema
   version, payload shape, instantiability — so a bad file fails at
-  startup, not on the first request;
+  startup with a ``ValueError`` naming it, not on the first request;
 * ``acquire(name)`` hands out a **fresh** :class:`TimingPredictor` built
   from the cached payload.  The payload is read and validated once and
   then served read-only; each session gets its own instance because the
@@ -15,7 +15,6 @@ that serve them:
 
 from __future__ import annotations
 
-import pickle
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -23,6 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.predictor import (
     ARTIFACT_SCHEMA_VERSION,
     TimingPredictor,
+    read_artifact,
 )
 from repro.obs import get_metrics
 from repro.utils import get_logger, require
@@ -42,53 +42,44 @@ class PredictorRegistry:
     def register(self, name: str, path: Path) -> Dict[str, Any]:
         """Load, validate and cache an artifact under *name*.
 
-        Raises ``FileNotFoundError`` / ``ValueError`` on a missing or
-        invalid artifact (including unsupported ``schema_version``).
-        Returns the artifact's metadata.
+        Raises ``ValueError`` on a missing, unreadable or invalid
+        artifact (anything but a dense schema-v4 payload; the message
+        names the file).  Returns the artifact's metadata.
         """
         path = Path(path)
         require(path.exists(), f"predictor artifact not found: {path}")
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+        payload = read_artifact(path)
         # Instantiate once to validate schema + weights end to end.
         probe = TimingPredictor.from_artifact(payload, source=str(path))
-        meta = {
-            "name": name,
-            "path": str(path),
-            "schema_version": payload.get("schema_version", "legacy")
-            if isinstance(payload, dict) else "legacy",
-            "variant": probe.model_config.variant,
-            "map_bins": probe.model_config.map_bins,
-            "precision": probe.precision,
-            "n_parameters": sum(p.data.size
-                                for p in probe.model.parameters()),
-        }
-        if probe.model_config.n_corners > 1:
-            meta["corners"] = list(probe.model_config.corner_names)
-        with self._lock:
-            self._payloads[name] = payload
-            self._meta[name] = meta
+        meta = self._store(name, str(path), payload, probe)
         get_metrics().counter("serve.registry.registered").inc()
         logger.info("registered predictor %r from %s (schema %s)", name,
                     path, meta["schema_version"])
-        return dict(meta)
+        return meta
 
     def register_predictor(self, name: str,
                            predictor: TimingPredictor) -> Dict[str, Any]:
         """Register an in-memory fitted predictor (bootstrap mode)."""
-        payload = predictor.to_artifact()
+        return self._store(name, "<memory>", predictor.to_artifact(),
+                           predictor)
+
+    def _store(self, name: str, path: str, payload: Any,
+               predictor: TimingPredictor) -> Dict[str, Any]:
+        """Cache *payload* under *name* with metadata read off
+        *predictor* (the one metadata builder for both entry points)."""
+        config = predictor.model_config
         meta = {
             "name": name,
-            "path": "<memory>",
+            "path": path,
             "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "variant": predictor.model_config.variant,
-            "map_bins": predictor.model_config.map_bins,
+            "variant": config.variant,
+            "map_bins": config.map_bins,
             "precision": predictor.precision,
             "n_parameters": sum(p.data.size
                                 for p in predictor.model.parameters()),
         }
-        if predictor.model_config.n_corners > 1:
-            meta["corners"] = list(predictor.model_config.corner_names)
+        if config.n_corners > 1:
+            meta["corners"] = list(config.corner_names)
         with self._lock:
             self._payloads[name] = payload
             self._meta[name] = meta

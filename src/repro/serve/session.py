@@ -118,7 +118,7 @@ class DesignSession:
     corners:
         Sign-off corner names this session answers for (must be a subset
         of the predictor's ``corner_names``).  ``None`` serves every
-        corner the model was trained on — ``("base",)`` for legacy
+        corner the model was trained on — ``("base",)`` for
         single-corner models, which keeps all pre-MMMC behavior exactly.
     """
 
@@ -142,7 +142,7 @@ class DesignSession:
                 f"model serves corners {list(model_corners)}, "
                 f"not {unknown}")
         #: Served corner names; index 0 is the *primary* corner whose
-        #: predictions fill the legacy response fields.
+        #: predictions fill the flat ``predictions`` response fields.
         self.corners: Tuple[str, ...] = corners
         self._corner_idx = tuple(model_corners.index(c) for c in corners)
         # With no external infer callable the session is the predictor's
@@ -311,7 +311,7 @@ class DesignSession:
         A multi-corner session answers **every** served corner in one
         packed forward (the corner views of the edited sample are
         flattened into a single :class:`~repro.ml.batch.PackedBatch`)
-        and adds ``corners``/``worst`` blocks to the result; the legacy
+        and adds ``corners``/``worst`` blocks to the result; the flat
         ``predictions``/``shift`` fields report the *corner* argument's
         corner (default: primary).  The analytic ``pre_route`` check
         stays the base-corner incremental STA.

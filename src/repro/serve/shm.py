@@ -58,16 +58,11 @@ class ShmArtifactMeta:
     """Everything a worker needs to attach (small and picklable)."""
 
     shm_name: str
+    #: One spec per ``state`` entry, in order.
     arrays: Tuple[ShmArraySpec, ...]
     #: Non-array payload entries (model_config dict, norm, format,
     #: schema_version) carried by value — they are tiny.
     extra: Dict[str, Any] = field(default_factory=dict)
-    #: How ``arrays`` maps back onto ``state`` entries: ``"array"``
-    #: consumes one spec; ``("quant", scheme)`` consumes two (q, scale)
-    #: and rebuilds the schema-v3 quantized-entry dict.  Empty means one
-    #: plain array per state entry (pre-quantization metas unpickle with
-    #: this default and keep working).
-    layout: Tuple[Any, ...] = ()
 
 
 class SharedArtifact:
@@ -90,16 +85,7 @@ class SharedArtifact:
         """Copy *payload*'s ``state`` arrays into a fresh shared segment."""
         require(isinstance(payload, dict) and "state" in payload,
                 "artifact payload must be a dict with a 'state' entry")
-        arrays: List[np.ndarray] = []
-        layout: List[Any] = []
-        for entry in payload["state"]:
-            if isinstance(entry, dict):  # int8 per-channel quantized
-                arrays.append(np.ascontiguousarray(entry["q"]))
-                arrays.append(np.ascontiguousarray(entry["scale"]))
-                layout.append(("quant", entry["quant"]))
-            else:
-                arrays.append(np.ascontiguousarray(entry))
-                layout.append("array")
+        arrays = [np.ascontiguousarray(entry) for entry in payload["state"]]
         specs: List[ShmArraySpec] = []
         offset = 0
         for arr in arrays:
@@ -115,7 +101,7 @@ class SharedArtifact:
             view[...] = arr
         extra = {k: v for k, v in payload.items() if k != "state"}
         meta = ShmArtifactMeta(shm_name=shm.name, arrays=tuple(specs),
-                               extra=extra, layout=tuple(layout))
+                               extra=extra)
         logger.info("published artifact to shm %s (%d arrays, %d bytes)",
                     shm.name, len(specs), offset)
         return cls(shm, meta)
@@ -160,21 +146,12 @@ def attach_artifact(meta: ShmArtifactMeta
     """
     shm = shared_memory.SharedMemory(name=meta.shm_name)
     _disown_from_resource_tracker(shm)
-    views: List[np.ndarray] = []
+    state: List[np.ndarray] = []
     for spec in meta.arrays:
         view = np.ndarray(spec.shape, dtype=spec.dtype,
                           buffer=shm.buf, offset=spec.offset)
         view.flags.writeable = False
-        views.append(view)
-    layout = meta.layout or ("array",) * len(views)
-    state: List[Any] = []
-    it = iter(views)
-    for kind in layout:
-        if kind == "array":
-            state.append(next(it))
-        else:  # ("quant", scheme): q + scale views → v3 state entry
-            state.append({"quant": kind[1], "q": next(it),
-                          "scale": next(it)})
+        state.append(view)
     payload = dict(meta.extra)
     payload["state"] = state
     return shm, payload

@@ -151,7 +151,8 @@ class CornerSet:
     The order is load-bearing: it defines each corner's embedding index
     in a corner-conditioned model (``ModelConfig.corner_names``) and the
     corner axis of datasets built from it.  The first corner is the
-    *primary* one — the corner legacy single-corner responses report.
+    *primary* one — the corner whose predictions fill the flat
+    ``predictions`` block of a serving response.
     """
 
     corners: Tuple[Corner, ...]

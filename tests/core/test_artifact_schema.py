@@ -1,9 +1,10 @@
-"""Versioned predictor artifacts: round-trip, legacy, rejection."""
+"""Versioned predictor artifacts: round-trip and rejection."""
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -14,6 +15,7 @@ from repro.core import (
 )
 from repro.core.predictor import ARTIFACT_FORMAT
 from repro.nn import state_dict
+from repro.serve import PredictorRegistry
 
 
 @pytest.fixture(scope="module")
@@ -49,35 +51,6 @@ class TestRoundTrip:
             predictor.save(tmp_path / "model.pkl")
 
 
-class TestLegacy:
-    def make_legacy_payload(self, fitted):
-        """The exact pre-versioning on-disk format."""
-        return {
-            "model_config": fitted.model_config,
-            "state": state_dict(fitted.model),
-            "norm": (fitted.trainer.norm.mean, fitted.trainer.norm.std),
-        }
-
-    def test_legacy_pickle_loads_with_deprecation_warning(
-            self, fitted, tiny_sample, tmp_path):
-        path = tmp_path / "legacy.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(self.make_legacy_payload(fitted), fh)
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            loaded = TimingPredictor.load(path)
-        assert loaded.predict(tiny_sample) == fitted.predict(tiny_sample)
-
-    def test_legacy_resave_produces_versioned_artifact(
-            self, fitted, tmp_path):
-        path = tmp_path / "legacy.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(self.make_legacy_payload(fitted), fh)
-        with pytest.warns(DeprecationWarning):
-            loaded = TimingPredictor.load(path)
-        assert (loaded.to_artifact()["schema_version"]
-                == ARTIFACT_SCHEMA_VERSION)
-
-
 class TestRejection:
     def test_future_schema_version_rejected(self, fitted, tmp_path):
         payload = fitted.to_artifact()
@@ -105,6 +78,77 @@ class TestRejection:
         del payload["model_config"]
         with pytest.raises(ValueError):
             TimingPredictor.from_artifact(payload)
+
+
+def _legacy(fitted):
+    """The pre-versioning format: pickled ModelConfig + (mean, std)."""
+    return {"model_config": fitted.model_config,
+            "state": state_dict(fitted.model),
+            "norm": (fitted.trainer.norm.mean, fitted.trainer.norm.std)}
+
+
+def _older(version):
+    def make(fitted):
+        payload = fitted.to_artifact()
+        payload["schema_version"] = version
+        return payload
+    return make
+
+
+def _int8_entry(fitted):
+    payload = fitted.to_artifact()
+    w = payload["state"][0]
+    payload["state"][0] = {"quant": "int8-perchannel",
+                           "q": np.zeros(w.shape, dtype=np.int8),
+                           "scale": np.ones(w.shape[0])}
+    return payload
+
+
+def _without_norm(fitted):
+    payload = fitted.to_artifact()
+    del payload["norm"]
+    return payload
+
+
+def _unknown_config_key(fitted):
+    payload = fitted.to_artifact()
+    payload["model_config"]["no_such_field"] = 1
+    return payload
+
+
+def _truncated(fitted):
+    blob = pickle.dumps(fitted.to_artifact())
+    return blob[:len(blob) // 2]
+
+
+#: Every artifact the loader must refuse, as a payload to pickle or as
+#: the raw file bytes.
+UNLOADABLE = {
+    "legacy": _legacy,
+    "v2": _older(2),
+    "v3": _older(3),
+    "int8-entry": _int8_entry,
+    "missing-norm": _without_norm,
+    "unknown-config-key": _unknown_config_key,
+    "truncated": _truncated,
+    "garbage": lambda fitted: b"this is not a pickle",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADABLE))
+def test_unloadable_artifact_raises_value_error_naming_file(
+        case, fitted, tmp_path):
+    content = UNLOADABLE[case](fitted)
+    path = tmp_path / f"{case}.pkl"
+    path.write_bytes(content if isinstance(content, bytes)
+                     else pickle.dumps(content))
+    for load in (TimingPredictor.load,
+                 lambda p: PredictorRegistry().register("m", p)):
+        with pytest.raises(ValueError) as exc_info:
+            load(path)
+        message = str(exc_info.value)
+        assert message.startswith(f"{path}: "), message
+        assert "re-train" in message
 
 
 class TestDefaultConfigIsolation:

@@ -1,13 +1,11 @@
-"""Precision tiers: dtype propagation, fp64 bit-identity, quantization.
+"""Precision tiers: dtype propagation, fp64 bit-identity, artifacts.
 
 The contracts under test (DESIGN.md "Precision & memory tiers"):
 
 * fp64 is the default and stays **bit-identical** whether or not the
   buffer arena is active, and across a set-precision round trip;
 * fp32 mode never silently upcasts — every intermediate and output of
-  the GNN/CNN/fusion inference path is float32;
-* int8 weight quantization round-trips through the artifact format
-  verbatim (no requantization drift).
+  the GNN/CNN/fusion inference path is float32.
 """
 
 from __future__ import annotations
@@ -17,15 +15,7 @@ import pytest
 
 from repro.core import ModelConfig, TimingPredictor, TrainerConfig
 from repro.ml.batch import PackedBatch
-from repro.nn import (
-    Linear,
-    PRECISIONS,
-    Workspace,
-    dequantize,
-    inference_mode,
-    quantize_per_channel,
-    workspace,
-)
+from repro.nn import PRECISIONS, Workspace, inference_mode, workspace
 
 
 @pytest.fixture(scope="module")
@@ -35,41 +25,6 @@ def fitted(tiny_samples):
         trainer_config=TrainerConfig(epochs=2))
     predictor.fit(tiny_samples)
     return predictor
-
-
-# ----------------------------------------------------------------------
-# Quantization scheme
-# ----------------------------------------------------------------------
-def test_quantize_per_channel_round_trip(rng):
-    w = rng.normal(size=(6, 9))
-    q = quantize_per_channel(w)
-    assert q["q"].dtype == np.int8 and q["q"].shape == w.shape
-    assert q["scale"].shape == (6,)
-    back = dequantize(q["q"], q["scale"])
-    # Per-channel symmetric int8: worst-case error is half a step.
-    step = np.abs(w).max(axis=1) / 127.0
-    assert np.all(np.abs(back - w) <= step[:, None] * 0.5 + 1e-12)
-
-
-def test_quantize_zero_row_is_safe():
-    w = np.zeros((2, 4))
-    w[1] = [1.0, -2.0, 0.5, 0.25]
-    q = quantize_per_channel(w)
-    assert np.all(q["q"][0] == 0)
-    np.testing.assert_array_equal(dequantize(q["q"], q["scale"])[0],
-                                  np.zeros(4))
-
-
-def test_requantization_is_install_verbatim(rng):
-    """Artifact reload must not drift: install stored q/scale, not
-    requantize the dequantized weights."""
-    layer = Linear(5, 3, rng=rng)
-    layer.set_inference_precision("int8")
-    q1 = {k: np.array(v) for k, v in layer._quant.items()
-          if k in ("q", "scale")}
-    layer._install_quant(q1["q"], q1["scale"])
-    np.testing.assert_array_equal(layer._quant["q"], q1["q"])
-    np.testing.assert_array_equal(layer._quant["scale"], q1["scale"])
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +42,10 @@ def test_precision_walks_the_module_tree(fitted):
 
 
 def test_unknown_precision_rejected(fitted):
-    with pytest.raises(ValueError):
-        fitted.model.set_inference_precision("fp16")
-    assert "fp16" not in PRECISIONS
+    for mode in ("fp16", "int8"):
+        with pytest.raises(ValueError):
+            fitted.model.set_inference_precision(mode)
+        assert mode not in PRECISIONS
 
 
 def test_training_requires_fp64(fitted, tiny_samples):
@@ -189,7 +145,7 @@ def test_fp64_identical_with_and_without_workspace(fitted, tiny_samples):
 def test_fp64_identical_after_precision_round_trip(fitted, tiny_samples):
     ref = [np.array(a)
            for a in fitted.predict_batch_arrays(tiny_samples)]
-    for mode in ("fp32", "int8", "fp64"):
+    for mode in ("fp32", "fp64"):
         fitted.set_precision(mode)
     out = fitted.predict_batch_arrays(tiny_samples)
     for a, b in zip(ref, out):
@@ -224,24 +180,6 @@ def test_inference_mode_with_explicit_workspace(fitted, tiny_samples):
 # ----------------------------------------------------------------------
 # Artifact round trip (schema v4)
 # ----------------------------------------------------------------------
-def test_int8_artifact_round_trip(fitted, tiny_samples):
-    fitted.set_precision("int8")
-    try:
-        ref = [np.array(a)
-               for a in fitted.predict_batch_arrays(tiny_samples)]
-        payload = fitted.to_artifact()
-        assert payload["schema_version"] == 4
-        assert payload["precision"] == "int8"
-        assert any(isinstance(e, dict) for e in payload["state"])
-        clone = TimingPredictor.from_artifact(payload)
-        assert clone.precision == "int8"
-        out = clone.predict_batch_arrays(tiny_samples)
-        for a, b in zip(ref, out):
-            np.testing.assert_array_equal(np.asarray(b), a)
-    finally:
-        fitted.set_precision("fp64")
-
-
 def test_fp64_artifact_round_trip_unchanged(fitted, tiny_samples):
     ref = [np.array(a)
            for a in fitted.predict_batch_arrays(tiny_samples)]

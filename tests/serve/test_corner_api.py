@@ -1,6 +1,6 @@
 """Multi-corner serving API: negotiation, typed schemas, MMMC what-ifs.
 
-Covers the v1/v2 negotiation rules from :mod:`repro.serve.api`, the
+Covers the version negotiation rule from :mod:`repro.serve.api`, the
 corner-aware dispatcher responses, ``SessionFactory`` wiring, and the
 acceptance contract: one ``/whatif`` answers every served corner in a
 single packed forward, bit-identical between the in-process dispatcher
@@ -48,40 +48,16 @@ def test_negotiate_version_defaults_to_current():
 
 
 def test_negotiate_version_rejects_unknown():
-    with pytest.raises(ApiError) as exc:
-        api.negotiate_version({"api_version": "v9"})
-    assert exc.value.status == 400
-    assert exc.value.code == "unsupported_api_version"
-
-
-def test_legacy_pin_warns_once(monkeypatch):
-    monkeypatch.setattr(api, "_warned_legacy", False)
-    with pytest.warns(DeprecationWarning):
-        assert api.negotiate_version({"api_version": "v1"}) == "v1"
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a second warning would raise
-        assert api.negotiate_version({"api_version": "v1"}) == "v1"
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_corner_field_rejected_under_v1():
-    with pytest.raises(ApiError) as exc:
-        api.PredictRequest.parse({"api_version": "v1", "corner": "fast"})
-    assert exc.value.status == 400
-    assert "v1 is corner-unaware" in exc.value.message
+    for pinned in ("v9", "v1"):   # v1 is retired, not special
+        with pytest.raises(ApiError) as exc:
+            api.negotiate_version({"api_version": pinned})
+        assert exc.value.status == 400
+        assert exc.value.code == "unsupported_api_version"
 
 
 def test_corner_field_must_be_string():
     with pytest.raises(ApiError):
         api.WhatifRequest.parse({"edits": [EDIT], "corner": 3})
-
-
-def test_advertised_version():
-    assert api.advertised_version(None) == "v1"
-    assert api.advertised_version(("base",)) == "v1"
-    assert api.advertised_version(CORNERS) == "v2"
 
 
 def test_request_parse_preserves_legacy_errors():
@@ -153,18 +129,6 @@ def test_predict_unknown_corner_is_400(corner_dispatcher):
         "POST", "/predict", {"design": "xgate", "corner": "warp"})
     assert status == 400
     assert body["error"]["code"] == "unknown_corner"
-
-
-def test_v1_pin_suppresses_corner_blocks(corner_dispatcher):
-    _, body = corner_dispatcher.handle_to_wire(
-        "POST", "/predict", {"api_version": "v1", "design": "xgate"})
-    assert "corners" not in body and "worst" not in body
-    _, body = corner_dispatcher.handle_to_wire(
-        "POST", "/whatif",
-        {"api_version": "v1", "design": "xgate", "edits": [EDIT]})
-    assert "corners" not in body and "worst" not in body
-    assert set(body) == {"design", "revision", "committed", "predictions",
-                         "pre_route", "shift", "latency_ms"}
 
 
 def test_whatif_reports_every_corner(corner_dispatcher):

@@ -70,6 +70,7 @@ STREAM = [
                          "edits": [{"op": "move", "cell": 999999,
                                     "x": 1.0, "y": 1.0}]}),
     ("GET", "/bogus", None),
+    ("POST", "/predict", {"design": "xgate", "api_version": "v1"}),
 ]
 
 _VOLATILE_KEYS = ("latency_ms", "uptime_s", "whatifs_served")
@@ -162,3 +163,9 @@ def test_predictions_are_exact_floats(inprocess_responses,
     assert all(isinstance(v, float) for v in preds.values())
     fl_preds = fleet_responses[9][1]["predictions"]
     assert fl_preds == preds  # exact, not approx
+
+
+def test_retired_v1_pin_is_rejected(inprocess_responses):
+    status, payload = inprocess_responses[-1]    # the "v1" pin
+    assert status == 400
+    assert payload["error"]["code"] == "unsupported_api_version"

@@ -53,7 +53,7 @@ class TestRoutes:
         assert body["status"] == "ok"
         assert body["designs"] == ["xgate"]
         assert body["model"] == {"name": "test-model"}
-        assert body["api_version"] == "v1"
+        assert body["api_version"] == "v2"
 
     def test_designs(self, server):
         status, body = call(server, "GET", "/designs")

@@ -59,6 +59,24 @@ def test_cli_train_and_predict(tmp_path, capsys, monkeypatch):
     assert "predicted arrival" in out
 
 
+def test_cli_serve_rejects_corrupt_model_before_building_flows(
+        tmp_path, capsys, monkeypatch):
+    import repro.flow
+
+    def no_flow(*args, **kwargs):
+        pytest.fail("a flow was built before --model was validated")
+
+    monkeypatch.setattr(repro.flow, "run_scenario_flow", no_flow)
+    model = tmp_path / "corrupt.pkl"
+    model.write_bytes(b"\x80\x04 definitely not a pickle")
+    assert main(["serve", "--designs", "xgate", "--model",
+                 str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_profile_runs(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     report = tmp_path / "report.json"
