@@ -15,6 +15,7 @@ table1/2/3  regenerate a paper table
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -322,7 +323,15 @@ def cmd_predict(args) -> int:
     from repro.ml import build_dataset
     from repro.timing import CornerSet
 
-    predictor = TimingPredictor.load(args.model)
+    try:
+        predictor = TimingPredictor.load(args.model)
+    except ValueError as exc:   # the message leads with the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {args.model}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     predictor.set_partition(args.partition_pins)
     corner_set = CornerSet.parse(args.corners)
     corner_names = corner_set.names
@@ -383,8 +392,8 @@ def cmd_serve(args) -> int:
     import signal
 
     from repro.core import ModelConfig, TimingPredictor, TrainerConfig
-    from repro.flow import FlowConfig, run_scenario_flow
-    from repro.ml.dataset import build_corner_samples, build_sample
+    from repro.flow import FlowConfig
+    from repro.ml.dataset import boot_designs, build_corner_samples
     from repro.serve import (
         FleetConfig,
         InProcessBackend,
@@ -415,15 +424,30 @@ def cmd_serve(args) -> int:
                   f"{args.model} (trained on: {model_corners})",
                   file=sys.stderr)
             return 1
+    else:
+        model_config = ModelConfig(corner_names=corner_names)
+        map_bins = model_config.map_bins
 
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
-    # The default (no --scenario) routes through the plain run_flow path
-    # inside run_scenario_flow; scenario-tagged FlowResults pickle over
-    # the fleet's worker pipes unchanged.
-    flows = {d: run_scenario_flow(d, flow_config, scenario=args.scenario)
-             for d in args.designs}
+    # One forked task per design builds its flow (and, for in-process
+    # sessions, its sample); the pool has exited before anything below
+    # binds, starts a thread or forks.  The default (no --scenario)
+    # routes through the plain run_flow path inside run_scenario_flow;
+    # scenario-tagged FlowResults pickle over the fleet's worker pipes
+    # unchanged.
+    built, report = boot_designs(
+        args.designs, flow_config, scenario=args.scenario,
+        map_bins=map_bins if args.workers == 0 else None, seed=args.seed,
+        partition_pins=args.partition_pins,
+        jobs=min(len(os.sched_getaffinity(0)), len(args.designs)))
+    if report.failed:
+        details = "; ".join(f"{s.design}: {s.error}" for s in report.failed)
+        print(f"error: flow failed for {details}", file=sys.stderr)
+        return 1
+    flows = {d: flow for d, (flow, _) in zip(args.designs, built)}
+    samples = {d: sample for d, (_, sample) in zip(args.designs, built)}
 
     if args.plan_cache is not None:
         from repro.ml.plancache import configure_plan_cache
@@ -435,9 +459,8 @@ def cmd_serve(args) -> int:
               f"{args.bootstrap_epochs}-epoch predictor on "
               f"{sorted(flows)}")
         predictor = TimingPredictor(
-            model_config=ModelConfig(corner_names=corner_names),
+            model_config=model_config,
             trainer_config=TrainerConfig(epochs=args.bootstrap_epochs))
-        map_bins = predictor.model_config.map_bins
         boot_samples = [s for f in flows.values()
                         for s in build_corner_samples(
                             f, map_bins=map_bins, seed=args.seed,
@@ -462,10 +485,6 @@ def cmd_serve(args) -> int:
         backend = TimingFleet(registry.payload("default"), flows, config,
                               seeds={d: args.seed for d in flows}).start()
     else:
-        samples = {d: build_sample(f, map_bins=map_bins, seed=args.seed,
-                                   partition_pins=args.partition_pins)
-                   for d, f in flows.items()}
-
         def acquire():
             predictor = registry.acquire("default")
             if args.precision != predictor.precision:

@@ -283,16 +283,15 @@ class StagedFlow:
                  map_bins=self.config.map_bins))
 
         def build(key: str) -> PlaceArtifact:
-            before = self.timer.stages.get("place", 0.0)
-            with self.timer.stage("place"):
+            with self.timer.stage("place") as timed:
                 placement = place(gen.netlist, gen.die, self.config.placer)
                 legalize(gen.netlist, placement)
-            duration = self.timer.stages["place"] - before
             input_maps = compute_layout_maps(
                 gen.netlist, placement,
                 m=self.config.map_bins, n=self.config.map_bins)
             return PlaceArtifact(key=key, placement=placement,
-                                 input_maps=input_maps, duration_s=duration)
+                                 input_maps=input_maps,
+                                 duration_s=timed.duration)
 
         art, reused = self._through("place", key, build)
         self._timed("place", reused, art.duration_s)
@@ -367,12 +366,11 @@ class StagedFlow:
             opt_report: Optional[OptReport] = None
             duration = 0.0
             if self.config.with_opt:
-                before = self.timer.stages.get("opt", 0.0)
-                with self.timer.stage("opt"):
+                with self.timer.stage("opt") as timed:
                     optimizer = TimingOptimizer(opt_netlist, opt_placement,
                                                 self.config.optimizer)
                     opt_report = optimizer.run(constrain.clock_period)
-                duration = self.timer.stages["opt"] - before
+                duration = timed.duration
             return OptArtifact(key=key, opt_netlist=opt_netlist,
                                opt_placement=opt_placement,
                                opt_report=opt_report, duration_s=duration)
@@ -387,13 +385,11 @@ class StagedFlow:
                                 dict(router=asdict(self.config.router)))
 
         def build(key: str) -> RouteArtifact:
-            before = self.timer.stages.get("route", 0.0)
-            with self.timer.stage("route"):
+            with self.timer.stage("route") as timed:
                 routing = route(opt.opt_netlist, opt.opt_placement,
                                 self.config.router)
-            duration = self.timer.stages["route"] - before
             return RouteArtifact(key=key, routing=routing,
-                                 duration_s=duration)
+                                 duration_s=timed.duration)
 
         art, reused = self._through("route", key, build)
         self._timed("route", reused, art.duration_s)
@@ -421,17 +417,15 @@ class StagedFlow:
 
             def build(key: str, corner=corner) -> SignoffArtifact:
                 nonlocal graph
-                before = self.timer.stages.get("sta", 0.0)
-                with self.timer.stage("sta"):
+                with self.timer.stage("sta") as timed:
                     if graph is None:
                         graph = build_timing_graph(opt.opt_netlist)
                     sta = run_sta(
                         graph, routed.routing.lengths,
                         constrain.clock_period,
                         corner=None if corner.name == "base" else corner)
-                duration = self.timer.stages["sta"] - before
                 return SignoffArtifact(key=key, corner=corner.name,
-                                       sta=sta, duration_s=duration)
+                                       sta=sta, duration_s=timed.duration)
 
             art, reused = self._through("signoff", key, build)
             self._timed("sta", reused, art.duration_s)
@@ -475,15 +469,13 @@ class StagedFlow:
             opt_placement = Placement(
                 die=prev_opt.opt_placement.die,
                 cell_xy=dict(prev_opt.opt_placement.cell_xy))
-            before = self.timer.stages.get("opt", 0.0)
-            with self.timer.stage("opt"):
+            with self.timer.stage("opt") as timed:
                 optimizer = TimingOptimizer(opt_netlist, opt_placement,
                                             self.config.optimizer)
                 report = optimizer.run(constrain.clock_period)
-            duration = self.timer.stages["opt"] - before
             return OptArtifact(key=key, opt_netlist=opt_netlist,
                                opt_placement=opt_placement,
-                               opt_report=report, duration_s=duration)
+                               opt_report=report, duration_s=timed.duration)
 
         opt_art, reused = self._through("opt", opt_key, build_opt)
         self._timed("opt", reused, opt_art.duration_s)
@@ -585,14 +577,12 @@ class StagedFlow:
             dict(constrain=constrain.key, corner="__nominal__"))
 
         def build(key: str) -> SignoffArtifact:
-            before = self.timer.stages.get("sta", 0.0)
-            with self.timer.stage("sta"):
+            with self.timer.stage("sta") as timed:
                 graph = build_timing_graph(opt.opt_netlist)
                 sta = run_sta(graph, routed.routing.lengths,
                               constrain.clock_period)
-            duration = self.timer.stages["sta"] - before
             return SignoffArtifact(key=key, corner="__nominal__",
-                                   sta=sta, duration_s=duration)
+                                   sta=sta, duration_s=timed.duration)
 
         art, reused = self._through("signoff", key, build)
         self._timed("sta", reused, art.duration_s)

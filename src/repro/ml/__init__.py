@@ -6,6 +6,7 @@ from repro.ml.batch import (
     PackedBatch,
 )
 from repro.ml.dataset import (
+    boot_designs,
     build_corner_samples,
     build_dataset,
     build_dataset_report,
@@ -29,7 +30,7 @@ from repro.ml.features import (
 from repro.ml.parallel import (
     BuildReport,
     DesignBuildStatus,
-    build_dataset_parallel,
+    run_design_tasks,
 )
 from repro.ml.sample import DesignSample, LevelPlan
 
@@ -37,6 +38,7 @@ __all__ = [
     "DEFAULT_ENDPOINT_BATCH",
     "EndpointBatchSampler",
     "PackedBatch",
+    "boot_designs",
     "build_corner_samples",
     "build_dataset",
     "build_dataset_report",
@@ -56,7 +58,7 @@ __all__ = [
     "validate_node_features",
     "BuildReport",
     "DesignBuildStatus",
-    "build_dataset_parallel",
+    "run_design_tasks",
     "DesignSample",
     "LevelPlan",
 ]

@@ -8,15 +8,16 @@ generation are timed into ``sample.preprocess_time``.
 from __future__ import annotations
 
 import hashlib
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro.flow
 from repro.core.masking import build_endpoint_masks
 from repro.flow import FlowConfig, FlowResult, ScenarioSpec, run_flow
 from repro.ml.features import node_features
+from repro.ml.parallel import run_design_tasks
 from repro.ml.sample import DesignSample, LevelPlan
 from repro.netlist import DESIGN_PRESETS
 from repro.obs import get_metrics, get_tracer
@@ -433,43 +434,56 @@ def build_dataset_report(designs: List[str],
     ``"raise"`` or ``"crash"``; the fault fires on the first attempt
     only).
     """
-    # Import here: repro.ml.parallel imports this module.
-    from repro.ml.parallel import (
-        BuildReport,
-        DesignBuildStatus,
-        build_dataset_parallel,
-    )
-
     flow_config = flow_config or FlowConfig(base_seed=seed)
-    if jobs is not None and jobs > 1:
-        return build_dataset_parallel(
-            designs, flow_config, map_bins=map_bins, cache_dir=cache_dir,
-            seed=seed, jobs=jobs, scenarios=scenarios,
-            _fail_once=_fail_once)
-
+    per_design, report = run_design_tasks(
+        load_or_build_samples, designs,
+        (flow_config, map_bins, seed, cache_dir, scenarios),
+        jobs=jobs or 1, span="dataset.parallel_build",
+        _fail_once=_fail_once)
     n_per_design = (len(flow_config.corner_set())
                     * (len(scenarios) if scenarios else 1))
     samples: List[Optional[DesignSample]] = []
-    statuses: List[DesignBuildStatus] = []
-    wall_start = time.perf_counter()
-    for name in designs:
-        start = time.perf_counter()
-        try:
-            built, status = load_or_build_samples(
-                name, flow_config, map_bins=map_bins, seed=seed,
-                cache_dir=cache_dir, scenarios=scenarios)
-            samples.extend(built)
-            statuses.append(DesignBuildStatus(
-                design=name, status=status, attempts=1,
-                duration_s=time.perf_counter() - start))
-        except Exception as exc:
-            logger.warning("building %s failed: %s: %s", name,
-                           type(exc).__name__, exc)
-            samples.extend([None] * n_per_design)
-            statuses.append(DesignBuildStatus(
-                design=name, status="failed", attempts=1,
-                duration_s=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}"))
-    report = BuildReport(statuses=statuses, jobs=1,
-                         wall_s=time.perf_counter() - wall_start)
+    for built in per_design:
+        samples.extend(built if built is not None
+                       else [None] * n_per_design)
+    if report.jobs > 1:
+        metrics = get_metrics()
+        metrics.counter("dataset.parallel_builds").inc()
+        if report.failed:
+            metrics.counter("dataset.build_failures").inc(
+                len(report.failed))
     return samples, report
+
+
+def _boot_design(design: str, flow_config: FlowConfig,
+                 scenario: Optional[str], map_bins: Optional[int],
+                 seed: int, partition_pins: Optional[int],
+                 ) -> Tuple[Tuple[FlowResult, Optional[DesignSample]], str]:
+    """One design's serving flow, plus its sample when *map_bins* is set."""
+    # Looked up through the module at call time, so a patched
+    # ``repro.flow.run_scenario_flow`` runs here and in forked workers.
+    flow = repro.flow.run_scenario_flow(design, flow_config,
+                                        scenario=scenario)
+    sample = (None if map_bins is None else
+              build_sample(flow, map_bins=map_bins, seed=seed,
+                           partition_pins=partition_pins))
+    return (flow, sample), "built"
+
+
+def boot_designs(designs: List[str], flow_config: FlowConfig,
+                 scenario: Optional[str] = None,
+                 map_bins: Optional[int] = None, seed: int = 0,
+                 partition_pins: Optional[int] = None, jobs: int = 1):
+    """The ``repro serve`` boot: each design's flow, ``jobs`` at a time.
+
+    Returns ``(results, report)``; *results* is aligned with *designs*
+    and holds ``(flow, sample)`` per design — *sample* is ``None``
+    unless *map_bins* is given — or ``None`` for a design whose build
+    failed.  The flows and samples equal a serial in-process boot's;
+    the pool (see :func:`repro.ml.parallel.run_design_tasks`) has
+    exited by the time this returns.
+    """
+    return run_design_tasks(
+        _boot_design, designs,
+        (flow_config, scenario, map_bins, seed, partition_pins),
+        jobs=jobs, span="serve.boot")

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
+import numpy as np
+
 from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
 from repro.opt.config import OptimizerConfig
@@ -34,11 +36,28 @@ from repro.opt.moves import (
     upsize_cell,
 )
 from repro.opt.report import OptReport, diff_replaced_edges
-from scipy import ndimage
-
 from repro.placement import Placement, RowGrid, compute_free_space
 from repro.timing import PreRouteEstimator, STAResult, build_timing_graph, run_sta
 from repro.utils import spawn_rng
+
+
+def box_mean3(a: np.ndarray) -> np.ndarray:
+    """3x3 running mean of a 2-D float64 grid, edges replicated.
+
+    Bit-identical to ``scipy.ndimage.uniform_filter(a, size=3,
+    mode="nearest")``: one 3-tap pass per axis, each summing the window
+    once and then sliding it by adding the entering and subtracting the
+    leaving element, with the division by 3 applied to the running sum.
+    """
+    out = np.asarray(a, dtype=np.float64)
+    for axis in (0, 1):
+        line = np.moveaxis(out, axis, 0)
+        p = np.concatenate([line[:1], line, line[-1:]])
+        steps = np.empty_like(line)
+        steps[0] = (p[0] + p[1]) + p[2]
+        steps[1:] = p[3:] - p[:-3]
+        out = np.moveaxis(np.cumsum(steps, axis=0) / 3.0, 0, axis)
+    return out
 
 
 class TimingOptimizer:
@@ -97,7 +116,7 @@ class TimingOptimizer:
         free = compute_free_space(self.netlist, self.placement, bins, bins)
         # Smooth over a 3x3 neighbourhood: a move can claim sites in the
         # adjacent bins, so nearby space counts as usable space.
-        self._free = ndimage.uniform_filter(free, size=3, mode="nearest")
+        self._free = box_mean3(free)
         self._bin_w = self.placement.die.width / bins
         self._bin_h = self.placement.die.height / bins
 

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
-from repro.obs.trace import get_tracer
+from repro.obs.trace import Span, get_tracer
 
 
 @dataclass
@@ -47,20 +47,22 @@ class StageTimer:
     stages; the predictor records ``pre`` (preprocessing) and ``infer``.
     Each stage block is also emitted as a ``flow.<name>`` tracer span, so
     a recorded trace can regenerate Table III (see ``repro.obs.profile``).
+    The block yields that span, so ``span.duration`` is this block's own
+    time once the block exits.
     """
 
     stages: Dict[str, float] = field(default_factory=dict)
     design: Optional[str] = None   # tagged onto every emitted span
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
+    def stage(self, name: str) -> Iterator[Span]:
         attrs = {"stage": name}
         if self.design is not None:
             attrs["design"] = self.design
         sp = get_tracer().span(f"flow.{name}", **attrs)
         sp.__enter__()
         try:
-            yield
+            yield sp
         finally:
             sp.__exit__(None, None, None)
             self.stages[name] = self.stages.get(name, 0.0) + sp.duration

@@ -166,3 +166,32 @@ def test_reuse_folds_duration_into_timer():
     # stages' recorded production cost (Table III stays meaningful).
     assert set(result.timer.stages) == {"place", "opt", "route", "sta"}
     assert all(v > 0.0 for v in result.timer.stages.values())
+
+
+def test_stage_artifact_durations_are_their_spans():
+    """Each computed stage stores the duration of its own ``flow.<stage>``
+    span, and the timer holds the sum of those spans."""
+    from repro.obs import get_tracer
+
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.enable()
+    try:
+        flow = StagedFlow(_spec(), FlowConfig(scale=0.25))
+        result = flow.run()
+        spans = {}
+        for ev in tracer.events():
+            if ev.get("type") == "span" and ev["name"].startswith("flow."):
+                spans.setdefault(ev["name"][len("flow."):],
+                                 []).append(ev["dur"])
+    finally:
+        tracer.reset()
+        if not was_enabled:
+            tracer.disable()
+    assert set(spans) == {"place", "opt", "route", "sta"}
+    for stage in ("place", "opt", "route"):
+        assert spans[stage] == [flow.last[stage].duration_s], stage
+    assert spans["sta"] == [flow.last["signoff"]["base"].duration_s]
+    for stage, durations in spans.items():
+        assert result.timer.stages[stage] == sum(durations), stage

@@ -1,0 +1,218 @@
+"""The ``repro serve`` boot: one forked flow task per design.
+
+:func:`repro.ml.dataset.boot_designs` runs each design's flow (and, for
+in-process serving, its sample) through the shared engine in
+:mod:`repro.ml.parallel`.  Under test:
+
+* a pooled boot's flows and samples equal the serial in-process boot's;
+* the parent registry ends with the same flow counters either way, and
+  worker spans reach the parent trace;
+* ``repro serve`` reports a failed flow as one ``error:`` line, and no
+  pool process is alive once the gateway binds or the fleet forks.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import glob
+import os
+import signal
+
+import numpy as np
+import pytest
+
+from repro.cli import main
+from repro.flow import FlowConfig
+from repro.ml import boot_designs
+from repro.obs import get_metrics, get_tracer
+from repro.serve import TimingFleet, TimingGateway
+
+CFG = FlowConfig(scale=0.2)
+DESIGNS = ["xgate", "steelcore"]
+BINS = 32
+#: Wall-clock fields: everything else in a sample is deterministic.
+TIMING_FIELDS = {"flow_times", "preprocess_time"}
+COUNTER_PREFIXES = ("opt.", "flow.", "sta.")
+
+pytestmark = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="reads the process tree from /proc")
+
+
+def _children() -> set:
+    """PIDs of this process's live (or unreaped) children, except the
+    interpreter-wide ``multiprocessing`` resource tracker: the fleet's
+    shared memory starts it once, and it lives until the interpreter
+    exits by design."""
+    out = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as fh:
+            out.update(int(pid) for pid in fh.read().split())
+    return {pid for pid in out if not _is_resource_tracker(pid)}
+
+
+def _is_resource_tracker(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return b"multiprocessing.resource_tracker" in fh.read()
+    except OSError:     # exited since the listing
+        return False
+
+
+def _assert_same(a, b, path: str) -> None:
+    if isinstance(a, np.ndarray):
+        # NaN marks optimizer-replaced elements in the auxiliary labels.
+        assert a.dtype == b.dtype and np.array_equal(
+            a, b, equal_nan=a.dtype.kind == "f"), path
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.name not in TIMING_FIELDS:
+                _assert_same(getattr(a, f.name), getattr(b, f.name),
+                             f"{path}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{path}[{i}]")
+    else:
+        assert a == b, path
+
+
+def _counters(snapshot) -> dict:
+    return {k: v for k, v in snapshot.items()
+            if k.startswith(COUNTER_PREFIXES) and not isinstance(v, dict)}
+
+
+def _boot(jobs: int):
+    """One boot with the flow counters it added to the parent registry."""
+    before = _counters(get_metrics().snapshot())
+    results, report = boot_designs(DESIGNS, CFG, map_bins=BINS, jobs=jobs)
+    after = _counters(get_metrics().snapshot())
+    added = {k: v - before.get(k, 0) for k, v in after.items()
+             if v != before.get(k, 0)}
+    return results, report, added
+
+
+@pytest.fixture(scope="module")
+def serial_boot():
+    return _boot(jobs=1)
+
+
+def test_pooled_boot_equals_serial(serial_boot):
+    serial, serial_report, _ = serial_boot
+    before = _children()
+    pooled, report, _ = _boot(jobs=2)
+    assert serial_report.jobs == 1 and serial_report.ok
+    assert report.jobs == 2 and report.ok
+    assert os.getpid() not in {s.worker_pid for s in report.statuses}
+    assert _children() <= before, "a pool process outlived the boot"
+    for name, (flow_a, sample_a), (flow_b, sample_b) in zip(
+            DESIGNS, serial, pooled):
+        assert flow_a.name == flow_b.name == name
+        assert flow_a.opt_report.moves == flow_b.opt_report.moves
+        assert flow_a.endpoint_labels("base") == flow_b.endpoint_labels(
+            "base")
+        _assert_same(sample_a, sample_b, name)
+
+
+def test_pooled_boot_folds_the_serial_counters(serial_boot):
+    _, _, serial_added = serial_boot
+    _, _, pooled_added = _boot(jobs=2)
+    assert any(k.startswith("opt.gate.") for k in serial_added)
+    assert pooled_added == serial_added
+
+
+def test_fleet_boot_ships_flows_without_samples():
+    results, report = boot_designs(DESIGNS, CFG, jobs=2)
+    assert report.ok
+    assert [flow.name for flow, _ in results] == DESIGNS
+    assert all(sample is None for _, sample in results)
+
+
+def test_pool_worker_spans_reach_the_parent_trace():
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.enable()
+    try:
+        _, report = boot_designs(DESIGNS, CFG, map_bins=BINS, jobs=2)
+        events = tracer.events()
+    finally:
+        tracer.reset()
+        if not was_enabled:
+            tracer.disable()
+    assert report.merged_events > 0
+    spans = [e for e in events if e.get("type") == "span"]
+    assert any(e["name"] == "serve.boot" for e in spans)
+    pids = {s.worker_pid for s in report.statuses}
+    for design in DESIGNS:
+        stages = {e["name"] for e in spans
+                  if e["attrs"].get("design") == design}
+        assert {"flow.place", "flow.opt", "flow.route",
+                "flow.sta"} <= stages, design
+    assert pids.isdisjoint({os.getpid()})
+
+
+def test_cli_serve_reports_a_failed_pool_flow(tmp_path, capsys,
+                                              monkeypatch):
+    import repro.flow
+
+    real = repro.flow.run_scenario_flow
+
+    def flaky(design, *args, **kwargs):
+        if design == "steelcore":
+            raise RuntimeError("placement diverged")
+        return real(design, *args, **kwargs)
+
+    monkeypatch.setattr(repro.flow, "run_scenario_flow", flaky)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = _children()
+    assert main(["serve", "--designs", *DESIGNS, "--scale", "0.2",
+                 "--model", str(tmp_path / "absent.pkl")]) == 1
+    assert _children() <= before, "a pool process outlived the call"
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "steelcore" in errors[0] and "placement diverged" in errors[0]
+    assert "xgate" not in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_cli_serve_pool_is_gone_before_serving(tmp_path, monkeypatch,
+                                               served_predictor, workers):
+    """Nothing of the boot pool is alive when the fleet is built (workers
+    > 0) or the gateway binds (workers 0)."""
+    model = tmp_path / "model.pkl"
+    served_predictor.save(model)
+    before = _children()
+    seen = {}
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            seen.setdefault(name, _children() - before)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(TimingFleet, "__init__")
+    record(TimingGateway, "bind")
+    serve_forever = TimingGateway.serve_forever
+
+    def drain_at_once(self, *args, **kwargs):
+        self.request_drain()
+        return serve_forever(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimingGateway, "serve_forever", drain_at_once)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sigterm = signal.getsignal(signal.SIGTERM)
+    try:
+        assert main(["serve", "--designs", *DESIGNS, "--scale", "0.2",
+                     "--model", str(model), "--port", "0",
+                     "--workers", str(workers)]) == 0
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    first_hook = "__init__" if workers else "bind"
+    assert seen[first_hook] == set(), seen
+    assert _children() <= before

@@ -77,6 +77,21 @@ def test_cli_serve_rejects_corrupt_model_before_building_flows(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [b"\x80\x04 definitely not a pickle",
+                                     None])
+def test_cli_predict_rejects_unloadable_model(tmp_path, capsys, content):
+    """A corrupt or missing --model is one ``error: <path>: ...`` line and
+    exit 1, not a traceback."""
+    model = tmp_path / "model.pkl"
+    if content is not None:
+        model.write_bytes(content)
+    assert main(["predict", "xgate", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_profile_runs(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     report = tmp_path / "report.json"

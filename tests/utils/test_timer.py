@@ -105,3 +105,21 @@ def test_stage_timer_adapter_matches_span_duration(monkeypatch):
         time.sleep(0.003)
     (ev,) = tracer.events()
     assert timer.get("route") == ev["dur"]
+
+
+def test_stage_handle_carries_its_own_block_duration(monkeypatch):
+    """``stage()`` yields the span: after the block, its duration is that
+    block's time alone — the increment the block added to ``stages``."""
+    from repro.obs.trace import Tracer
+    import repro.utils.timer as timer_mod
+
+    tracer = Tracer(enabled=True)
+    monkeypatch.setattr(timer_mod, "get_tracer", lambda: tracer)
+    timer = StageTimer()
+    with timer.stage("opt") as first:
+        time.sleep(0.002)
+    with timer.stage("opt") as second:
+        time.sleep(0.001)
+    assert [ev["dur"] for ev in tracer.events()] == [first.duration,
+                                                     second.duration]
+    assert timer.get("opt") == first.duration + second.duration
