@@ -78,7 +78,7 @@ BENCH_OUT = Path(__file__).resolve().parent.parent / "data" / "bench"
 #: Prior headline entries carried forward per benchmark artifact.
 BENCH_HISTORY = 8
 
-#: Index of the first tracer event not yet folded into an artifact.
+#: ``Tracer.emitted`` at the previous ``emit_bench``.
 _ops_cursor = 0
 
 
@@ -92,8 +92,14 @@ def _drain_ops():
     global _ops_cursor
     from repro.obs import aggregate_trace, get_tracer
 
-    events = get_tracer().events()
-    fresh, _ops_cursor = events[_ops_cursor:], len(events)
+    tracer = get_tracer()
+    events, emitted = tracer.events(), tracer.emitted
+    if emitted < _ops_cursor:       # the tracer was reset since
+        _ops_cursor = 0
+    # The buffer is a ring: the newest ``emitted - cursor`` events (as
+    # many of them as it still holds) are the fresh ones.
+    fresh = events[max(len(events) - (emitted - _ops_cursor), 0):]
+    _ops_cursor = emitted
     if not fresh:
         return None
     report = aggregate_trace(fresh)

@@ -24,6 +24,7 @@ _EXPORTS = {
     "run_flow": "repro.flow",
     "FlowConfig": "repro.flow",
     "FlowResult": "repro.flow",
+    "PreRouteDesign": "repro.flow",
     "StagedFlow": "repro.flow",
     "StageStore": "repro.flow",
     "ScenarioSpec": "repro.flow",
@@ -34,6 +35,7 @@ _EXPORTS = {
     # Designs + data
     "DESIGN_PRESETS": "repro.netlist",
     "build_dataset": "repro.ml",
+    "build_inputs": "repro.ml",
     "build_sample": "repro.ml",
     "DesignSample": "repro.ml",
     "PackedBatch": "repro.ml",
@@ -85,6 +87,7 @@ if TYPE_CHECKING:  # let static analyzers resolve the façade eagerly
     from repro.flow import (  # noqa: F401
         FlowConfig,
         FlowResult,
+        PreRouteDesign,
         ScenarioSpec,
         StagedFlow,
         StageStore,
@@ -99,6 +102,7 @@ if TYPE_CHECKING:  # let static analyzers resolve the façade eagerly
         EndpointBatchSampler,
         PackedBatch,
         build_dataset,
+        build_inputs,
         build_sample,
     )
     from repro.netlist import DESIGN_PRESETS  # noqa: F401

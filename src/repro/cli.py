@@ -393,7 +393,7 @@ def cmd_serve(args) -> int:
 
     from repro.core import ModelConfig, TimingPredictor, TrainerConfig
     from repro.flow import FlowConfig
-    from repro.ml.dataset import boot_designs, build_corner_samples
+    from repro.ml.dataset import boot_designs
     from repro.serve import (
         FleetConfig,
         InProcessBackend,
@@ -431,23 +431,24 @@ def cmd_serve(args) -> int:
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
-    # One forked task per design builds its flow (and, for in-process
-    # sessions, its sample); the pool has exited before anything below
-    # binds, starts a thread or forks.  The default (no --scenario)
-    # routes through the plain run_flow path inside run_scenario_flow;
-    # scenario-tagged FlowResults pickle over the fleet's worker pipes
-    # unchanged.
+    # One forked task per design builds its flow and keeps only its
+    # PreRouteDesign (plus, for in-process sessions, the model inputs,
+    # and without a model the labeled bootstrap samples); the pool has
+    # exited before anything below binds, starts a thread or forks.  The
+    # default (no --scenario) routes through the plain run_flow path
+    # inside run_scenario_flow.
     built, report = boot_designs(
         args.designs, flow_config, scenario=args.scenario,
         map_bins=map_bins if args.workers == 0 else None, seed=args.seed,
         partition_pins=args.partition_pins,
-        jobs=min(len(os.sched_getaffinity(0)), len(args.designs)))
+        jobs=min(len(os.sched_getaffinity(0)), len(args.designs)),
+        train_bins=None if have_model else map_bins)
     if report.failed:
         details = "; ".join(f"{s.design}: {s.error}" for s in report.failed)
         print(f"error: flow failed for {details}", file=sys.stderr)
         return 1
-    flows = {d: flow for d, (flow, _) in zip(args.designs, built)}
-    samples = {d: sample for d, (_, sample) in zip(args.designs, built)}
+    designs = {d: pre for d, (pre, _, _) in zip(args.designs, built)}
+    inputs = {d: sample for d, (_, sample, _) in zip(args.designs, built)}
 
     if args.plan_cache is not None:
         from repro.ml.plancache import configure_plan_cache
@@ -457,16 +458,13 @@ def cmd_serve(args) -> int:
     if not have_model:
         print(f"model {args.model} not found; bootstrapping a "
               f"{args.bootstrap_epochs}-epoch predictor on "
-              f"{sorted(flows)}")
+              f"{sorted(designs)}")
         predictor = TimingPredictor(
             model_config=model_config,
             trainer_config=TrainerConfig(epochs=args.bootstrap_epochs))
-        boot_samples = [s for f in flows.values()
-                        for s in build_corner_samples(
-                            f, map_bins=map_bins, seed=args.seed,
-                            partition_pins=args.partition_pins)]
-        predictor.fit(boot_samples)
+        predictor.fit([s for _, _, train in built for s in train])
         registry.register_predictor("default", predictor)
+    del built   # the bootstrap samples are the only labels it held
 
     config = FleetConfig(workers=args.workers, threads=args.threads,
                          microbatch=args.microbatch,
@@ -482,8 +480,8 @@ def cmd_serve(args) -> int:
                          corners=corner_set.specs,
                          partition_pins=args.partition_pins)
     if args.workers > 0:
-        backend = TimingFleet(registry.payload("default"), flows, config,
-                              seeds={d: args.seed for d in flows}).start()
+        backend = TimingFleet(registry.payload("default"), designs, config,
+                              seeds={d: args.seed for d in designs}).start()
     else:
         def acquire():
             predictor = registry.acquire("default")
@@ -503,7 +501,7 @@ def cmd_serve(args) -> int:
                                  corners=corner_names,
                                  default_seed=args.seed,
                                  scenario=args.scenario)
-        sessions = {d: factory.open(flows[d], sample=samples[d])
+        sessions = {d: factory.open(designs[d], sample=inputs[d])
                     for d in args.designs}
         backend = InProcessBackend(sessions, config, batcher=batcher)
     gateway = TimingGateway(
@@ -515,7 +513,7 @@ def cmd_serve(args) -> int:
     host, port = gateway.bind()
     signal.signal(signal.SIGTERM,
                   lambda signum, frame: gateway.request_drain())
-    print(f"serving {sorted(flows)} on http://{host}:{port} "
+    print(f"serving {sorted(designs)} on http://{host}:{port} "
           f"({args.workers} workers)", flush=True)
     gateway.serve_forever()
     return 0
@@ -536,7 +534,7 @@ def cmd_profile(args) -> int:
     from repro.flow import FlowConfig, run_flow
     from repro.obs import aggregate_trace, configure_tracing, get_metrics
 
-    tracer = configure_tracing(enabled=True, jsonl_path=str(args.trace_out))
+    configure_tracing(enabled=True, jsonl_path=str(args.trace_out))
     predictor = TimingPredictor(
         model_config=ModelConfig(variant="full"),
         trainer_config=TrainerConfig(epochs=args.epochs))
@@ -558,7 +556,9 @@ def cmd_profile(args) -> int:
         predictor.fit([sample])
         predictor.predict(sample)
 
-    report = aggregate_trace(tracer.events())
+    # The JSONL sink saw every span; the tracer's in-memory ring keeps
+    # only the most recent ones.
+    report = aggregate_trace(str(args.trace_out))
     print(report.format())
     print()
     print("metrics snapshot:")

@@ -100,6 +100,10 @@ class Trainer:
         would collide and silently drop losses.
         """
         require(len(train_samples) > 0, "need at least one training sample")
+        unlabeled = [s.name for s in train_samples if s.y is None]
+        require(not unlabeled,
+                f"cannot train on unlabeled sample(s) {unlabeled}: build "
+                "training samples with build_sample, not build_inputs")
         self.norm = LabelNorm.fit(train_samples)
         optimizer = Adam(self.model.parameters(), lr=self.config.lr)
         rng = spawn_rng("trainer", self.config.seed)

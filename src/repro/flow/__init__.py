@@ -1,6 +1,12 @@
 """End-to-end reference flow, staged pipeline and scenario engine."""
 
-from repro.flow.flow import FlowConfig, FlowResult, run_flow, run_flow_on_spec
+from repro.flow.flow import (
+    FlowConfig,
+    FlowResult,
+    PreRouteDesign,
+    run_flow,
+    run_flow_on_spec,
+)
 from repro.flow.scenario import (
     ScenarioSpec,
     expand_scenarios,
@@ -13,6 +19,7 @@ from repro.flow.store import StageStore
 __all__ = [
     "FlowConfig",
     "FlowResult",
+    "PreRouteDesign",
     "ScenarioSpec",
     "StageStore",
     "StagedFlow",

@@ -84,6 +84,31 @@ class FlowConfig:
 
 
 @dataclass
+class PreRouteDesign:
+    """The pre-routing half of a :class:`FlowResult`: what inference reads.
+
+    The predictor sees the input netlist's timing graph and features plus
+    the layout maps and masks; sign-off STA, the optimized netlist,
+    routing and labels exist only to train it.  A serving process holds
+    this instead of the whole flow (see DESIGN.md, "Boot").  Attribute
+    names match :class:`FlowResult`, so featurization reads either.
+    """
+
+    spec: DesignSpec
+    clock_period: float
+    input_netlist: Netlist
+    input_placement: Placement
+    input_maps: LayoutMaps
+    scenario: str = ""
+    #: Corners the flow was signed off at (primary first).
+    corner_names: Tuple[str, ...] = ("base",)
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+
+@dataclass
 class FlowResult:
     """Everything the flow produced for one design."""
 
@@ -121,6 +146,15 @@ class FlowResult:
         if not self.corner_signoff:
             return ("base",)
         return tuple(self.corner_signoff)
+
+    def pre_route(self) -> PreRouteDesign:
+        """The label-free inputs of this flow, sharing its objects."""
+        return PreRouteDesign(
+            spec=self.spec, clock_period=self.clock_period,
+            input_netlist=self.input_netlist,
+            input_placement=self.input_placement,
+            input_maps=self.input_maps, scenario=self.scenario,
+            corner_names=self.corner_names)
 
     def signoff_at(self, corner: str = "base") -> STAResult:
         """Sign-off STA for one corner; ``"base"`` always resolves."""

@@ -10,6 +10,7 @@ from repro.ml.dataset import (
     build_corner_samples,
     build_dataset,
     build_dataset_report,
+    build_inputs,
     build_level_plans,
     build_sample,
     load_or_build_sample,
@@ -42,6 +43,7 @@ __all__ = [
     "build_corner_samples",
     "build_dataset",
     "build_dataset_report",
+    "build_inputs",
     "build_level_plans",
     "build_sample",
     "load_or_build_sample",

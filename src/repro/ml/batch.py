@@ -30,7 +30,7 @@ paper) over the packed endpoint axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class PackedBatch:
     endpoint_pins: np.ndarray         # (E,) pin ids (sample-local)
     endpoint_sample: np.ndarray       # (E,) owning sample index
     endpoint_offsets: np.ndarray      # (B+1,) endpoint prefix offsets
-    y: np.ndarray                     # (E,) sign-off labels
+    y: Optional[np.ndarray]           # (E,) sign-off labels, if labeled
     clock_periods: np.ndarray         # (B,) per-sample clock period
 
     # --- layout branch (the CNN's view) --------------------------------
@@ -197,7 +197,10 @@ class PackedBatch:
             endpoint_pins=topo["endpoint_pins"],
             endpoint_sample=topo["endpoint_sample"],
             endpoint_offsets=topo["endpoint_offsets"],
-            y=_concat_rows([s.y for s in samples]),
+            # Labels ride along only when every sample has them
+            # (training); an inference pack leaves ``y`` unset.
+            y=(_concat_rows([s.y for s in samples])
+               if all(s.y is not None for s in samples) else None),
             clock_periods=np.array([s.clock_period for s in samples]),
             layout_stacks=_stack_arrays([s.layout_stack for s in samples]),
             masks=masks,

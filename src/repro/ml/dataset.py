@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.flow
 from repro.core.masking import build_endpoint_masks
-from repro.flow import FlowConfig, FlowResult, ScenarioSpec, run_flow
+from repro.flow import (
+    FlowConfig,
+    FlowResult,
+    PreRouteDesign,
+    ScenarioSpec,
+    run_flow,
+)
 from repro.ml.features import node_features
 from repro.ml.parallel import run_design_tasks
 from repro.ml.sample import DesignSample, LevelPlan
@@ -62,67 +68,51 @@ def build_level_plans(graph) -> List[LevelPlan]:
     return plans
 
 
-def build_sample(flow: FlowResult, map_bins: int = 64,
-                 seed: int = 0, corner: Optional[str] = None,
+def build_inputs(design: Union[FlowResult, PreRouteDesign],
+                 map_bins: int = 64, seed: int = 0,
                  partition_pins: Optional[int] = None) -> DesignSample:
-    """Convert a flow result into a training/inference sample.
+    """The label-free half of :func:`build_sample`: what inference reads.
 
-    ``corner`` selects which sign-off corner the labels ``y`` come from
-    (default: the base corner when the flow has it, else the flow's
-    primary corner).  Features, masks and baseline bookkeeping are
-    corner-independent — the predictor sees the same pre-route context
-    at every corner and learns the corner effect through its embedding
-    (see DESIGN.md, "Multi-corner timing").
+    *design* is a :class:`~repro.flow.PreRouteDesign` or a full
+    :class:`~repro.flow.FlowResult` (only its pre-routing inputs are
+    read).  The sample carries the timing graph, level plans,
+    ``x_cell``/``x_net``, critical-region masks, layout stack and
+    endpoint arrays — every model input — stamped with the design's
+    primary corner.  ``y``, the pre-route arrays, the sign-off dicts and
+    the baseline data stay unset: serving never reads them.
 
     ``partition_pins`` bounds the featurization working set (per-chunk
     feature blocks, see :mod:`repro.timing.partition`) and is stamped on
     the sample so downstream inference streams too.  Outputs are
     bit-identical with or without it.
     """
-    corner_names = flow.corner_names
-    if corner is None:
-        corner = "base" if "base" in corner_names else corner_names[0]
-    corner_index = corner_names.index(corner)
-    nl = flow.input_netlist
-    placement = flow.input_placement
+    return _build_inputs(design, map_bins, seed, partition_pins)[0]
+
+
+def _build_inputs(design, map_bins: int, seed: int,
+                  partition_pins: Optional[int]):
+    """:func:`build_inputs` plus the timing graph it was built from."""
+    corner_names = design.corner_names
+    corner = "base" if "base" in corner_names else corner_names[0]
+    nl = design.input_netlist
+    placement = design.input_placement
 
     # --- Timed preprocessing (the "pre" column of Table III): graph
     # construction, levelization, features, critical-region masks.
-    sp = get_tracer().span("model.pre", stage="pre", design=flow.name)
+    sp = get_tracer().span("model.pre", stage="pre", design=design.name)
     with sp:
         graph = build_timing_graph(nl)
         plans = build_level_plans(graph)
         x_cell, x_net = node_features(nl, placement, graph,
                                       partition=partition_pins)
         masks = build_endpoint_masks(nl, placement, graph, map_bins, seed)
-    preprocess_time = sp.duration
 
     endpoint_pins = np.array([int(graph.pin_ids[v]) for v in graph.endpoints])
-    labels = flow.endpoint_labels(corner)
-    y = np.array([labels[int(p)] for p in endpoint_pins])
-
-    # --- Baseline bookkeeping: sign-off local delays on SURVIVING edges.
-    report = flow.opt_report
-    replaced_net = report.replaced_net_edges if report else frozenset()
-    replaced_cell = report.replaced_cell_edges if report else frozenset()
-    signoff = flow.signoff_sta
-    local_net = {e: d for e, d in signoff.net_edge_delay.items()
-                 if e not in replaced_net and _edge_in(nl, e)}
-    local_cell = {e: d for e, d in signoff.cell_edge_delay.items()
-                  if e not in replaced_cell and _edge_in(nl, e)}
-    surviving_pins = set(nl.pins) & set(flow.opt_netlist.pins)
-    sg = signoff.graph
-    arrival_by_pin = {int(p): float(signoff.arrival[sg.node_of[p]])
-                      for p in surviving_pins}
-    slew_by_pin = {int(p): float(signoff.slew[sg.node_of[p]])
-                   for p in surviving_pins}
-
-    pre = flow.pre_route_sta
     sample = DesignSample(
-        name=flow.name,
-        split=DESIGN_PRESETS[flow.name].split if flow.name in DESIGN_PRESETS
-        else "test",
-        clock_period=flow.clock_period,
+        name=design.name,
+        split=DESIGN_PRESETS[design.name].split
+        if design.name in DESIGN_PRESETS else "test",
+        clock_period=design.clock_period,
         n_nodes=graph.n_nodes,
         kind=graph.kind,
         level=graph.level,
@@ -134,22 +124,67 @@ def build_sample(flow: FlowResult, map_bins: int = 64,
         x_net=x_net,
         endpoint_nodes=graph.endpoints,
         endpoint_pins=endpoint_pins,
-        y=y,
-        layout_stack=_layout_stack_at(flow, map_bins),
+        y=None,
+        layout_stack=_layout_stack_at(design, map_bins),
         masks=masks,
-        pre_route_arrival=pre.arrival.copy(),
-        pre_route_slew=pre.slew.copy(),
-        local_net_delay=local_net,
-        local_cell_delay=local_cell,
-        signoff_arrival_by_pin=arrival_by_pin,
-        signoff_slew_by_pin=slew_by_pin,
-        flow_times=dict(flow.timer.stages),
-        preprocess_time=preprocess_time,
+        pre_route_arrival=None,
+        pre_route_slew=None,
+        preprocess_time=sp.duration,
         corner=corner,
-        corner_index=corner_index,
-        scenario=getattr(flow, "scenario", ""),
+        corner_index=corner_names.index(corner),
+        scenario=design.scenario,
         partition_pins=partition_pins,
     )
+    return sample, graph
+
+
+def build_sample(flow: FlowResult, map_bins: int = 64,
+                 seed: int = 0, corner: Optional[str] = None,
+                 partition_pins: Optional[int] = None) -> DesignSample:
+    """Convert a flow result into a labeled training/evaluation sample.
+
+    The model inputs come from :func:`build_inputs`, the one
+    featurization path; this adds the label step on top: the sign-off
+    endpoint arrivals ``y``, the pre-route STA arrays, the sign-off
+    dicts and the baseline features and auxiliary labels.
+
+    ``corner`` selects which sign-off corner the labels ``y`` come from
+    (default: the base corner when the flow has it, else the flow's
+    primary corner).  Features, masks and baseline bookkeeping are
+    corner-independent — the predictor sees the same pre-route context
+    at every corner and learns the corner effect through its embedding
+    (see DESIGN.md, "Multi-corner timing").
+    """
+    sample, graph = _build_inputs(flow, map_bins, seed, partition_pins)
+    if corner is not None:
+        sample.corner = corner
+        sample.corner_index = flow.corner_names.index(corner)
+    labels = flow.endpoint_labels(sample.corner)
+    sample.y = np.array([labels[int(p)] for p in sample.endpoint_pins])
+    pre = flow.pre_route_sta
+    sample.pre_route_arrival = pre.arrival.copy()
+    sample.pre_route_slew = pre.slew.copy()
+
+    # --- Baseline bookkeeping: sign-off local delays on SURVIVING edges.
+    nl = flow.input_netlist
+    report = flow.opt_report
+    replaced_net = report.replaced_net_edges if report else frozenset()
+    replaced_cell = report.replaced_cell_edges if report else frozenset()
+    signoff = flow.signoff_sta
+    sample.local_net_delay = {
+        e: d for e, d in signoff.net_edge_delay.items()
+        if e not in replaced_net and _edge_in(nl, e)}
+    sample.local_cell_delay = {
+        e: d for e, d in signoff.cell_edge_delay.items()
+        if e not in replaced_cell and _edge_in(nl, e)}
+    surviving_pins = set(nl.pins) & set(flow.opt_netlist.pins)
+    sg = signoff.graph
+    sample.signoff_arrival_by_pin = {
+        int(p): float(signoff.arrival[sg.node_of[p]])
+        for p in surviving_pins}
+    sample.signoff_slew_by_pin = {
+        int(p): float(signoff.slew[sg.node_of[p]]) for p in surviving_pins}
+    sample.flow_times = dict(flow.timer.stages)
     _attach_baseline_data(sample, flow, graph)
     return sample
 
@@ -217,13 +252,14 @@ def _attach_baseline_data(sample: DesignSample, flow: FlowResult,
     sample.aux_cell_delay = aux_cell
 
 
-def _layout_stack_at(flow: FlowResult, map_bins: int) -> np.ndarray:
+def _layout_stack_at(design, map_bins: int) -> np.ndarray:
     """Layout maps at the sample's resolution (recompute on mismatch)."""
     from repro.placement import compute_layout_maps
 
-    maps = flow.input_maps
+    maps = design.input_maps
     if maps.shape != (map_bins, map_bins):
-        maps = compute_layout_maps(flow.input_netlist, flow.input_placement,
+        maps = compute_layout_maps(design.input_netlist,
+                                   design.input_placement,
                                    m=map_bins, n=map_bins)
     return maps.stacked()
 
@@ -458,32 +494,44 @@ def build_dataset_report(designs: List[str],
 def _boot_design(design: str, flow_config: FlowConfig,
                  scenario: Optional[str], map_bins: Optional[int],
                  seed: int, partition_pins: Optional[int],
-                 ) -> Tuple[Tuple[FlowResult, Optional[DesignSample]], str]:
-    """One design's serving flow, plus its sample when *map_bins* is set."""
+                 train_bins: Optional[int]):
+    """One design's serving boot: its pre-route design, its model inputs
+    when *map_bins* is set, and its labeled corner samples when
+    *train_bins* is set; the full flow never leaves this task."""
     # Looked up through the module at call time, so a patched
     # ``repro.flow.run_scenario_flow`` runs here and in forked workers.
     flow = repro.flow.run_scenario_flow(design, flow_config,
                                         scenario=scenario)
-    sample = (None if map_bins is None else
-              build_sample(flow, map_bins=map_bins, seed=seed,
+    pre = flow.pre_route()
+    inputs = (None if map_bins is None else
+              build_inputs(pre, map_bins=map_bins, seed=seed,
                            partition_pins=partition_pins))
-    return (flow, sample), "built"
+    train = (None if train_bins is None else
+             build_corner_samples(flow, map_bins=train_bins, seed=seed,
+                                  partition_pins=partition_pins))
+    return (pre, inputs, train), "built"
 
 
 def boot_designs(designs: List[str], flow_config: FlowConfig,
                  scenario: Optional[str] = None,
                  map_bins: Optional[int] = None, seed: int = 0,
-                 partition_pins: Optional[int] = None, jobs: int = 1):
+                 partition_pins: Optional[int] = None, jobs: int = 1,
+                 train_bins: Optional[int] = None):
     """The ``repro serve`` boot: each design's flow, ``jobs`` at a time.
 
     Returns ``(results, report)``; *results* is aligned with *designs*
-    and holds ``(flow, sample)`` per design — *sample* is ``None``
-    unless *map_bins* is given — or ``None`` for a design whose build
-    failed.  The flows and samples equal a serial in-process boot's;
-    the pool (see :func:`repro.ml.parallel.run_design_tasks`) has
-    exited by the time this returns.
+    and holds ``(pre_route, inputs, train)`` per design, or ``None`` for
+    a design whose build failed.  *pre_route* is the flow's
+    :class:`~repro.flow.PreRouteDesign`; *inputs* is its label-free
+    :func:`build_inputs` sample, ``None`` unless *map_bins* is given;
+    *train* is the labeled :func:`build_corner_samples` list a
+    model-less server bootstraps on, ``None`` unless *train_bins* is
+    given.  Sign-off data reaches the caller only through *train*.  The
+    results equal a serial in-process boot's; the pool (see
+    :func:`repro.ml.parallel.run_design_tasks`) has exited by the time
+    this returns.
     """
     return run_design_tasks(
         _boot_design, designs,
-        (flow_config, scenario, map_bins, seed, partition_pins),
+        (flow_config, scenario, map_bins, seed, partition_pins, train_bins),
         jobs=jobs, span="serve.boot")

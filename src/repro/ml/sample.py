@@ -1,17 +1,21 @@
 """The per-design ML sample: everything models may consume.
 
-A :class:`DesignSample` is built from a :class:`~repro.flow.FlowResult` and
-contains only *pre-routing* inputs (input netlist graph + features, layout
-feature maps, endpoint critical-region masks) plus the sign-off labels and
-the bookkeeping the baselines need (surviving local delays, per-pin sign-off
-quantities).  Everything is plain numpy / dict data so samples pickle
-cleanly into the dataset cache.
+A :class:`DesignSample` holds the *pre-routing* model inputs (input
+netlist graph + features, layout feature maps, endpoint critical-region
+masks), built by :func:`repro.ml.dataset.build_inputs` from a
+:class:`~repro.flow.PreRouteDesign` or a full
+:class:`~repro.flow.FlowResult`.  A *labeled* sample
+(:func:`repro.ml.dataset.build_sample`) adds the sign-off labels and the
+bookkeeping the baselines need (surviving local delays, per-pin sign-off
+quantities); an inputs-only sample — what serving holds — leaves ``y``
+and the pre-route arrays ``None``.  Everything is plain numpy / dict
+data so samples pickle cleanly into the dataset cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +36,13 @@ class LevelPlan:
 
 @dataclass
 class DesignSample:
-    """One design, ready for training / inference."""
+    """One design, ready for inference — and for training once labeled.
+
+    Fields under "labels" and "data for baselines" are filled only by
+    :func:`repro.ml.dataset.build_sample`; on an inputs-only sample
+    ``y``, ``pre_route_arrival`` and ``pre_route_slew`` are ``None`` and
+    the dicts are empty.
+    """
 
     name: str
     split: str
@@ -54,15 +64,15 @@ class DesignSample:
     # --- endpoints and labels -----------------------------------------
     endpoint_nodes: np.ndarray
     endpoint_pins: np.ndarray
-    y: np.ndarray                     # sign-off endpoint arrival (ps)
+    y: Optional[np.ndarray]           # sign-off endpoint arrival (ps)
 
     # --- layout branch -------------------------------------------------
     layout_stack: np.ndarray          # (3, M, N) density / RUDY / macro
     masks: np.ndarray                 # (E, M//4 * N//4) critical-region masks
 
     # --- data for baselines ---------------------------------------------
-    pre_route_arrival: np.ndarray     # (n,) pre-routing STA arrival per node
-    pre_route_slew: np.ndarray        # (n,)
+    pre_route_arrival: Optional[np.ndarray]  # (n,) pre-route STA arrival
+    pre_route_slew: Optional[np.ndarray]     # (n,)
     local_net_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
     local_cell_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
     signoff_arrival_by_pin: Dict[int, float] = field(default_factory=dict)

@@ -13,9 +13,13 @@ Design constraints (see DESIGN.md "Observability"):
   uses a thread-local stack so concurrent threads build independent
   parent chains.
 
-* **Pluggable sinks.**  Events go to an in-memory buffer (read it back
-  with :meth:`Tracer.events`) and to any registered sink callables, e.g.
-  :class:`JsonlSink` for on-disk JSON-lines traces.
+* **Pluggable sinks, bounded memory.**  Every event goes to each
+  registered sink callable, e.g. :class:`JsonlSink` for on-disk
+  JSON-lines traces.  The in-memory buffer (read it back with
+  :meth:`Tracer.events`) is a ring of the last :data:`EVENT_BUFFER_SIZE`
+  events, so a long-lived traced process — a fleet worker, or
+  ``REPRO_TRACE=1 repro serve`` — holds O(1) events however long it
+  runs.  Consumers that need every event read a sink.
 
 Event schema (one JSON object per line)::
 
@@ -29,6 +33,7 @@ Event schema (one JSON object per line)::
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import logging
@@ -36,6 +41,10 @@ import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
+
+#: Capacity of a tracer's in-memory event ring; older events fall off
+#: the front (sinks still receive every event).
+EVENT_BUFFER_SIZE = 1 << 14
 
 
 class Span:
@@ -119,7 +128,9 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._ids = itertools.count(1)
-        self._events: List[Dict[str, Any]] = []
+        self._events: "collections.deque[Dict[str, Any]]" = (
+            collections.deque(maxlen=EVENT_BUFFER_SIZE))
+        self._emitted = 0
         self._sinks: List[Callable[[Dict[str, Any]], None]] = []
 
     # ------------------------------------------------------------------
@@ -141,6 +152,7 @@ class Tracer:
         """Drop buffered events and detach all sinks (tests, reruns)."""
         with self._lock:
             self._events.clear()
+            self._emitted = 0
             for sink in self._sinks:
                 close = getattr(sink, "close", None)
                 if callable(close):
@@ -168,9 +180,16 @@ class Tracer:
         })
 
     def events(self) -> List[Dict[str, Any]]:
-        """Snapshot of the in-memory event buffer (completion order)."""
+        """Snapshot of the in-memory event ring (completion order): the
+        last :data:`EVENT_BUFFER_SIZE` events since :meth:`reset`."""
         with self._lock:
             return list(self._events)
+
+    @property
+    def emitted(self) -> int:
+        """Events emitted since :meth:`reset`, including those the ring
+        has dropped."""
+        return self._emitted
 
     def ingest(self, event: Dict[str, Any]) -> None:
         """Replay an externally recorded event into this tracer.
@@ -196,6 +215,7 @@ class Tracer:
     def _emit(self, event: Dict[str, Any]) -> None:
         with self._lock:
             self._events.append(event)
+            self._emitted += 1
             sinks = list(self._sinks)
         for sink in sinks:
             sink(event)

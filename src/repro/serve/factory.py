@@ -12,8 +12,9 @@ factory is now the one place that decides:
 * which ``infer`` callable the session routes inference through;
 * which sign-off corners the session serves (validated against the
   model's ``corner_names``);
-* how a flow comes to exist (run the reference flow, or adopt a
-  completed :class:`~repro.flow.FlowResult` shipped over a pipe);
+* how a design comes to exist (run the reference flow and keep only
+  its :class:`~repro.flow.PreRouteDesign`, or adopt one shipped over a
+  pipe);
 * journal replay (a replacement fleet worker re-applies committed edit
   batches before the session is published).
 """
@@ -23,7 +24,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.predictor import TimingPredictor
-from repro.flow import FlowConfig, FlowResult, ScenarioSpec, run_scenario_flow
+from repro.flow import (
+    FlowConfig,
+    FlowResult,
+    PreRouteDesign,
+    ScenarioSpec,
+    run_scenario_flow,
+)
 from repro.ml.sample import DesignSample
 from repro.serve.session import DesignSession, Edit
 from repro.utils import require
@@ -61,7 +68,7 @@ class SessionFactory:
         string, e.g. ``"clock_frac0.7+eco1"``) applied when the factory
         runs a flow itself — what-ifs are then asked at the swept clock
         / post-ECO implementation.  The default is the plain flow;
-        adopted ``FlowResult``\\ s keep whatever scenario they carry.
+        adopted designs keep whatever scenario they carry.
     """
 
     def __init__(self, acquire: Callable[[], TimingPredictor],
@@ -84,36 +91,35 @@ class SessionFactory:
             scenario = ScenarioSpec.parse(scenario)
         self.scenario = scenario
 
-    def open(self, design: Union[str, FlowResult],
+    def open(self, design: Union[str, PreRouteDesign, FlowResult],
              sample: Optional[DesignSample] = None,
              seed: Optional[int] = None,
              replay: Optional[List[List[Dict[str, Any]]]] = None
              ) -> DesignSession:
         """Build one session.
 
-        *design* is either a completed :class:`FlowResult` (adopted —
-        the session owns and mutates it) or a preset design name (the
-        reference flow is run here).  *replay* is a list of committed
-        edit batches (wire dicts) applied before the session is
-        returned, restoring its revision counter — the fleet's
-        crash-recovery journal path.
+        *design* is a :class:`PreRouteDesign` or a completed
+        :class:`FlowResult` (adopted — the session owns and mutates its
+        pre-routing inputs), or a preset design name (the reference flow
+        is run here, and only its :meth:`~FlowResult.pre_route` is
+        kept).  *replay* is a list of committed edit batches (wire
+        dicts) applied before the session is returned, restoring its
+        revision counter — the fleet's crash-recovery journal path.
         """
         seed = self.default_seed if seed is None else seed
-        if isinstance(design, FlowResult):
-            flow = design
-        else:
+        if isinstance(design, str):
             # The default scenario routes through the plain run_flow
             # path inside run_scenario_flow — byte-identical behavior.
-            flow = run_scenario_flow(
+            design = run_scenario_flow(
                 design, self.flow_config or FlowConfig(base_seed=seed),
-                scenario=self.scenario)
+                scenario=self.scenario).pre_route()
         if self.batcher is not None:
             predictor = self.batcher.predictor
             infer = self.batcher.submit
         else:
             predictor = self.acquire()
             infer = None
-        session = DesignSession(flow, predictor, seed=seed, sample=sample,
+        session = DesignSession(design, predictor, seed=seed, sample=sample,
                                 infer=infer, corners=self.corners,
                                 partition_pins=self.partition_pins)
         for batch in replay or []:

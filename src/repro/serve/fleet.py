@@ -41,9 +41,9 @@ import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.flow import FlowResult
+from repro.flow import FlowResult, PreRouteDesign
 from repro.serve.dispatch import (
     ApiError,
     RequestDispatcher,
@@ -166,7 +166,7 @@ class TimingFleet:
     """Owns the worker processes and routes requests to design shards."""
 
     def __init__(self, payload: Dict[str, Any],
-                 flows: Dict[str, FlowResult],
+                 flows: Dict[str, Union[PreRouteDesign, FlowResult]],
                  config: Optional[FleetConfig] = None,
                  seeds: Optional[Dict[str, int]] = None) -> None:
         self.config = config or FleetConfig()
@@ -174,7 +174,12 @@ class TimingFleet:
                 "a fleet needs at least one worker (use InProcessBackend "
                 "for --workers 0)")
         require(len(flows) >= 1, "a fleet needs at least one design")
-        self.flows = dict(flows)
+        #: design → the PreRouteDesign its worker opens a session on.
+        #: Only these cross the pipe, so no worker (nor a respawn) ever
+        #: unpickles sign-off data; adopted FlowResults are cut down here.
+        self.flows: Dict[str, PreRouteDesign] = {
+            d: f.pre_route() if isinstance(f, FlowResult) else f
+            for d, f in flows.items()}
         self.seeds = dict(seeds or {})
         self.artifact = SharedArtifact.publish(payload)
         self.workers: List[WorkerHandle] = []

@@ -6,8 +6,9 @@ placement" in milliseconds instead of minutes of opt + route + sign-off
 STA.  The one-shot CLI pays the flow, the sample build and the model load
 on every call; a :class:`DesignSession` pays them **once**:
 
-* the design's flow artifacts (input netlist + placement) and its
-  prepared :class:`~repro.ml.sample.DesignSample` stay resident,
+* the design's pre-routing inputs (input netlist + placement) and its
+  label-free :class:`~repro.ml.sample.DesignSample` stay resident —
+  never its sign-off data (see DESIGN.md, "Boot"),
 * an :class:`~repro.timing.IncrementalSTA` stays attached to the
   pre-routing view, so every what-if also reports the fast analytic
   pre-route WNS/TNS next to the model's sign-off prediction,
@@ -26,14 +27,15 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro.core.masking import build_endpoint_paths
 from repro.core.predictor import TimingPredictor
-from repro.flow import FlowConfig, FlowResult
-from repro.ml.dataset import build_sample
+from repro.flow import FlowConfig, FlowResult, PreRouteDesign
+from repro.ml.dataset import build_inputs
 from repro.ml.plancache import PLAN_CACHE
 from repro.ml.sample import DesignSample
 from repro.obs import get_metrics, get_tracer
@@ -98,9 +100,11 @@ class DesignSession:
     Parameters
     ----------
     flow:
-        A completed :class:`~repro.flow.FlowResult`.  The session *owns*
-        the flow's pre-routing artifacts (input netlist + placement) and
-        mutates them on committed edits — do not share them.
+        A :class:`~repro.flow.PreRouteDesign`, or a completed
+        :class:`~repro.flow.FlowResult` of which only the pre-routing
+        inputs are read.  The session *owns* those artifacts (input
+        netlist + placement) and mutates them on committed edits — do
+        not share them.
     predictor:
         A fitted :class:`TimingPredictor`.  Sessions only call its
         ``predict``; one predictor instance must not be shared across
@@ -122,7 +126,8 @@ class DesignSession:
         single-corner models, which keeps all pre-MMMC behavior exactly.
     """
 
-    def __init__(self, flow: FlowResult, predictor: TimingPredictor,
+    def __init__(self, flow: Union[PreRouteDesign, FlowResult],
+                 predictor: TimingPredictor,
                  seed: int = 0,
                  sample: Optional[DesignSample] = None,
                  infer: Optional[Callable[[DesignSample], np.ndarray]]
@@ -166,9 +171,9 @@ class DesignSession:
         self.placement = flow.input_placement
         self.clock_period = flow.clock_period
         #: Flow scenario this session serves ("" = the default flow);
-        #: carried by the FlowResult (so it survives the fleet's worker
-        #: pipe) and surfaced through /designs.
-        self.scenario = getattr(flow, "scenario", "")
+        #: carried by the pre-route design (so it survives the fleet's
+        #: worker pipe) and surfaced through /designs.
+        self.scenario = flow.scenario
         self.revision = 0          # bumped on every committed edit batch
         self.whatifs_served = 0
         self._lock = threading.RLock()
@@ -180,7 +185,7 @@ class DesignSession:
 
         map_bins = predictor.model_config.map_bins
         with get_tracer().span("serve.session.open", design=self.name):
-            self.sample = sample if sample is not None else build_sample(
+            self.sample = sample if sample is not None else build_inputs(
                 flow, map_bins=map_bins, seed=seed,
                 partition_pins=partition_pins)
             if (partition_pins is not None

@@ -9,7 +9,8 @@ in-process backend so the two paths stay bit-identical:
   ``share_state=True`` — parameters are read-only views into the one
   fleet-wide segment (see :mod:`repro.serve.shm`);
 * per-design :class:`~repro.serve.session.DesignSession` objects are
-  materialized from pickled flow artifacts sent over the pipe (and
+  materialized from pickled :class:`~repro.flow.PreRouteDesign` objects
+  sent over the pipe — never a whole flow with its sign-off data (and
   *re*-materialized the same way on a replacement worker after a crash,
   with the committed-edit journal replayed to restore revisions);
 * concurrent requests run on a small thread pool and funnel their
@@ -25,7 +26,7 @@ gateway end lives in :mod:`repro.serve.fleet`):
 ====================================  =================================
 parent → worker                       worker → parent
 ====================================  =================================
-``("open", design, flow, seed,        ``("ready", design, info)``
+``("open", design, pre_route, seed,   ``("ready", design, info)``
 ``  replay_edits)``
 ``("request", rid, method, path,      ``("response", rid, status,
 ``  body)``                           ``  payload)``
@@ -164,8 +165,8 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
                              corners=corner_names,
                              partition_pins=config.get("partition_pins"))
 
-    def open_design(design: str, flow, seed: int, replay) -> None:
-        session = factory.open(flow, seed=seed, replay=replay)
+    def open_design(design: str, pre_route, seed: int, replay) -> None:
+        session = factory.open(pre_route, seed=seed, replay=replay)
         # Publish only once fully materialized (journal replayed).
         dispatcher.sessions[design] = session
         sessions[design] = session
@@ -190,8 +191,8 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
                 break  # gateway went away; nothing left to serve
             kind = msg[0]
             if kind == "open":
-                _, design, flow, seed, replay = msg
-                open_design(design, flow, seed, replay)
+                _, design, pre_route, seed, replay = msg
+                open_design(design, pre_route, seed, replay)
             elif kind == "request":
                 _, rid, method, path, body = msg
                 pool.submit(run_request, rid, method, path, body)

@@ -7,7 +7,13 @@ import threading
 
 import pytest
 
-from repro.obs.trace import JsonlSink, Tracer, configure_tracing, get_tracer
+from repro.obs.trace import (
+    EVENT_BUFFER_SIZE,
+    JsonlSink,
+    Tracer,
+    configure_tracing,
+    get_tracer,
+)
 
 
 @pytest.fixture
@@ -110,6 +116,27 @@ def test_jsonl_sink_roundtrip(tmp_path, tracer):
              path.read_text().strip().splitlines()]
     assert [ev["name"] for ev in lines] == ["a", "log"]
     assert lines[0]["attrs"]["design"] == "d"
+
+
+def test_buffer_is_a_bounded_ring_and_the_sink_sees_everything(tmp_path,
+                                                              tracer):
+    path = tmp_path / "trace.jsonl"
+    sink = JsonlSink(str(path))
+    tracer.add_sink(sink)
+    n = 100_000
+    for i in range(n):
+        with tracer.span("work", i=i):
+            pass
+    sink.close()
+    events = tracer.events()
+    assert len(events) <= EVENT_BUFFER_SIZE
+    assert tracer.emitted == n
+    # The ring keeps the newest events, in completion order.
+    assert [ev["attrs"]["i"] for ev in events[-3:]] == [n - 3, n - 2, n - 1]
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == n
+    tracer.reset()
+    assert tracer.events() == [] and tracer.emitted == 0
 
 
 def test_configure_tracing_global(tmp_path):

@@ -92,6 +92,35 @@ def test_cli_predict_rejects_unloadable_model(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+def test_cli_profile_aggregates_spans_the_ring_dropped(tmp_path, capsys,
+                                                      monkeypatch):
+    """``repro profile`` reads its own JSONL back, so its table counts
+    every span even when the tracer's in-memory ring has wrapped."""
+    import collections
+    import json
+
+    from repro.obs import get_tracer
+    from repro.obs.profile import aggregate_trace
+
+    tracer = get_tracer()
+    monkeypatch.setattr(tracer, "_events", collections.deque(maxlen=8))
+    trace = tmp_path / "trace.jsonl"
+    report = tmp_path / "report.json"
+    try:
+        assert main(["profile", "--design", "xgate", "--scale", "0.2",
+                     "--epochs", "1", "--trace-out", str(trace),
+                     "--report-out", str(report)]) == 0
+        assert tracer.emitted > 8 and len(tracer.events()) == 8
+    finally:
+        tracer.reset()
+        tracer.disable()
+    capsys.readouterr()
+    full = aggregate_trace(str(trace))
+    assert json.loads(report.read_text()) == json.loads(
+        json.dumps(full.to_dict()))
+    assert full.stages["flow.opt"].count == 1
+
+
 def test_cli_profile_runs(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     report = tmp_path / "report.json"
