@@ -30,6 +30,7 @@ _EXPORTS = {
     "ScenarioSpec": "repro.flow",
     "expand_scenarios": "repro.flow",
     "run_scenarios": "repro.flow",
+    "run_pre_route": "repro.flow",
     "run_scenario_flow": "repro.flow",
     "run_staged_flow": "repro.flow",
     # Designs + data
@@ -93,6 +94,7 @@ if TYPE_CHECKING:  # let static analyzers resolve the façade eagerly
         StageStore,
         expand_scenarios,
         run_flow,
+        run_pre_route,
         run_scenario_flow,
         run_scenarios,
         run_staged_flow,

@@ -431,12 +431,11 @@ def cmd_serve(args) -> int:
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
-    # One forked task per design builds its flow and keeps only its
-    # PreRouteDesign (plus, for in-process sessions, the model inputs,
-    # and without a model the labeled bootstrap samples); the pool has
-    # exited before anything below binds, starts a thread or forks.  The
-    # default (no --scenario) routes through the plain run_flow path
-    # inside run_scenario_flow.
+    # One forked task per design builds its PreRouteDesign (plus, for
+    # in-process sessions, the model inputs).  With a model only the
+    # pre-route stages run; without one the full flow runs for the
+    # labeled bootstrap samples.  The pool has exited before anything
+    # below binds, starts a thread or forks.
     built, report = boot_designs(
         args.designs, flow_config, scenario=args.scenario,
         map_bins=map_bins if args.workers == 0 else None, seed=args.seed,

@@ -10,6 +10,7 @@ from repro.flow.flow import (
 from repro.flow.scenario import (
     ScenarioSpec,
     expand_scenarios,
+    run_pre_route,
     run_scenario_flow,
     run_scenarios,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "expand_scenarios",
     "run_flow",
     "run_flow_on_spec",
+    "run_pre_route",
     "run_scenario_flow",
     "run_scenarios",
     "run_staged_flow",

@@ -36,7 +36,12 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.flow.flow import FlowConfig, FlowResult, run_flow  # noqa: F401
+from repro.flow.flow import (  # noqa: F401
+    FlowConfig,
+    FlowResult,
+    PreRouteDesign,
+    run_flow,
+)
 from repro.flow.stages import StagedFlow
 from repro.flow.store import StageStore
 from repro.netlist import DESIGN_PRESETS, DesignSpec
@@ -48,6 +53,7 @@ __all__ = [
     "ScenarioSpec",
     "expand_scenarios",
     "parse_sweep",
+    "run_pre_route",
     "run_scenarios",
     "run_scenario_flow",
 ]
@@ -268,22 +274,53 @@ def run_scenario_flow(design: Union[str, DesignSpec],
                       config: Optional[FlowConfig] = None,
                       scenario: Union[ScenarioSpec, str, None] = None,
                       store: Optional[StageStore] = None) -> FlowResult:
-    """Run one design at one scenario (the serve entry point).
+    """Run the full flow of one design at one scenario.
 
-    The default scenario routes through the plain store-less
-    :func:`run_flow` path — byte-identical behavior for every existing
-    caller; a non-default scenario runs the staged engine (ECO rounds
-    chain through an in-memory store).
+    Callers that need labels (dataset builds, a model-less serving
+    bootstrap) come here; a server with a model boots through
+    :func:`run_pre_route` instead.  The default scenario routes through
+    the plain store-less :func:`run_flow` path — byte-identical
+    behavior for every existing caller; a non-default scenario runs the
+    staged engine (ECO rounds chain through an in-memory store).
     """
     config = config or FlowConfig()
-    if isinstance(scenario, str) or scenario is None:
-        scenario = ScenarioSpec.parse(scenario)
-    spec = _resolve_spec(design, config)
-    scenario = scenario.resolve(spec)
+    spec, scenario = _resolve(design, config, scenario)
     if scenario.is_default and store is None:
         from repro.flow.flow import run_flow_on_spec
         return run_flow_on_spec(spec, config)
     return run_scenarios(spec, config, [scenario], store=store)[0]
+
+
+def run_pre_route(design: Union[str, DesignSpec],
+                  config: Optional[FlowConfig] = None,
+                  scenario: Union[ScenarioSpec, str, None] = None,
+                  ) -> PreRouteDesign:
+    """The label-free inputs of one design at one scenario (the serve
+    entry point).
+
+    Equal byte for byte to ``run_scenario_flow(...).pre_route()``, but
+    a sweep point runs only generate, place and the unconstrained STA
+    (:meth:`StagedFlow.pre_route`).  An ECO scenario still runs the
+    full chain: round *r*'s input is round *r − 1*'s optimized, routed
+    implementation.
+    """
+    config = config or FlowConfig()
+    spec, scenario = _resolve(design, config, scenario)
+    if scenario.eco_rounds:
+        return run_scenarios(spec, config, [scenario])[0].pre_route()
+    pre = StagedFlow(scenario.apply(spec), config).pre_route()
+    pre.scenario = scenario.scenario_id
+    return pre
+
+
+def _resolve(design: Union[str, DesignSpec], config: FlowConfig,
+             scenario: Union[ScenarioSpec, str, None]
+             ) -> Tuple[DesignSpec, ScenarioSpec]:
+    """The concrete spec and the scenario resolved against it."""
+    if isinstance(scenario, str) or scenario is None:
+        scenario = ScenarioSpec.parse(scenario)
+    spec = _resolve_spec(design, config)
+    return spec, scenario.resolve(spec)
 
 
 def _resolve_spec(design: Union[str, DesignSpec],

@@ -486,6 +486,29 @@ class StagedFlow:
                         route=route_art, signoff=signoff)
 
     # -- end-to-end runs -----------------------------------------------
+    def pre_route(self):
+        """Run only the stages a ``PreRouteDesign`` is made from.
+
+        Generate, place, and the unconstrained STA the clock period is
+        derived from — nothing else.  The constrained pre-route STA,
+        opt, route and sign-off feed only labels, so a served design
+        skips them.  The result equals ``run().pre_route()`` byte for
+        byte (pinned by ``tests/flow/test_pre_route.py``).
+        """
+        from repro.flow.flow import PreRouteDesign
+
+        gen = self.generate()
+        placed = self.place(gen)
+        unconstrained = self.unconstrained(gen, placed)
+        return PreRouteDesign(
+            spec=self.spec,
+            clock_period=self.spec.clock_frac * unconstrained.max_arrival,
+            input_netlist=gen.netlist,
+            input_placement=placed.placement,
+            input_maps=placed.input_maps,
+            corner_names=self.config.corner_set().names,
+        )
+
     def run(self):
         """Execute every stage in order; assemble a ``FlowResult``.
 

@@ -497,16 +497,27 @@ def _boot_design(design: str, flow_config: FlowConfig,
                  train_bins: Optional[int]):
     """One design's serving boot: its pre-route design, its model inputs
     when *map_bins* is set, and its labeled corner samples when
-    *train_bins* is set; the full flow never leaves this task."""
+    *train_bins* is set.
+
+    Only a model-less bootstrap (*train_bins* set) needs labels, so only
+    it runs the full flow, which never leaves this task; a boot with a
+    model runs just the pre-route stages
+    (:func:`repro.flow.run_pre_route`).
+    """
     # Looked up through the module at call time, so a patched
-    # ``repro.flow.run_scenario_flow`` runs here and in forked workers.
-    flow = repro.flow.run_scenario_flow(design, flow_config,
-                                        scenario=scenario)
-    pre = flow.pre_route()
+    # ``repro.flow`` entry point runs here and in forked workers.
+    if train_bins is None:
+        flow = None
+        pre = repro.flow.run_pre_route(design, flow_config,
+                                       scenario=scenario)
+    else:
+        flow = repro.flow.run_scenario_flow(design, flow_config,
+                                            scenario=scenario)
+        pre = flow.pre_route()
     inputs = (None if map_bins is None else
               build_inputs(pre, map_bins=map_bins, seed=seed,
                            partition_pins=partition_pins))
-    train = (None if train_bins is None else
+    train = (None if flow is None else
              build_corner_samples(flow, map_bins=train_bins, seed=seed,
                                   partition_pins=partition_pins))
     return (pre, inputs, train), "built"
@@ -519,9 +530,11 @@ def boot_designs(designs: List[str], flow_config: FlowConfig,
                  train_bins: Optional[int] = None):
     """The ``repro serve`` boot: each design's flow, ``jobs`` at a time.
 
-    Returns ``(results, report)``; *results* is aligned with *designs*
-    and holds ``(pre_route, inputs, train)`` per design, or ``None`` for
-    a design whose build failed.  *pre_route* is the flow's
+    Without *train_bins* each design runs only its pre-route stages;
+    with it (a model-less bootstrap) each runs the full flow.  Returns
+    ``(results, report)``; *results* is aligned with *designs* and holds
+    ``(pre_route, inputs, train)`` per design, or ``None`` for a design
+    whose build failed.  *pre_route* is the design's
     :class:`~repro.flow.PreRouteDesign`; *inputs* is its label-free
     :func:`build_inputs` sample, ``None`` unless *map_bins* is given;
     *train* is the labeled :func:`build_corner_samples` list a

@@ -12,9 +12,9 @@ factory is now the one place that decides:
 * which ``infer`` callable the session routes inference through;
 * which sign-off corners the session serves (validated against the
   model's ``corner_names``);
-* how a design comes to exist (run the reference flow and keep only
-  its :class:`~repro.flow.PreRouteDesign`, or adopt one shipped over a
-  pipe);
+* how a design comes to exist (run only the flow's pre-route stages
+  into a :class:`~repro.flow.PreRouteDesign`, or adopt one shipped over
+  a pipe);
 * journal replay (a replacement fleet worker re-applies committed edit
   batches before the session is published).
 """
@@ -29,7 +29,7 @@ from repro.flow import (
     FlowResult,
     PreRouteDesign,
     ScenarioSpec,
-    run_scenario_flow,
+    run_pre_route,
 )
 from repro.ml.sample import DesignSample
 from repro.serve.session import DesignSession, Edit
@@ -100,19 +100,18 @@ class SessionFactory:
 
         *design* is a :class:`PreRouteDesign` or a completed
         :class:`FlowResult` (adopted — the session owns and mutates its
-        pre-routing inputs), or a preset design name (the reference flow
-        is run here, and only its :meth:`~FlowResult.pre_route` is
-        kept).  *replay* is a list of committed edit batches (wire
-        dicts) applied before the session is returned, restoring its
-        revision counter — the fleet's crash-recovery journal path.
+        pre-routing inputs), or a preset design name (only the flow's
+        pre-route stages run here, through
+        :func:`~repro.flow.run_pre_route`).  *replay* is a list of
+        committed edit batches (wire dicts) applied before the session
+        is returned, restoring its revision counter — the fleet's
+        crash-recovery journal path.
         """
         seed = self.default_seed if seed is None else seed
         if isinstance(design, str):
-            # The default scenario routes through the plain run_flow
-            # path inside run_scenario_flow — byte-identical behavior.
-            design = run_scenario_flow(
+            design = run_pre_route(
                 design, self.flow_config or FlowConfig(base_seed=seed),
-                scenario=self.scenario).pre_route()
+                scenario=self.scenario)
         if self.batcher is not None:
             predictor = self.batcher.predictor
             infer = self.batcher.submit

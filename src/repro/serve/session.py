@@ -226,10 +226,13 @@ class DesignSession:
              flow_config: Optional[FlowConfig] = None,
              seed: int = 0,
              corners: Optional[Sequence[str]] = None) -> "DesignSession":
-        """Run the reference flow once and wrap it in a session.
+        """Run the pre-route stages of a preset design's flow once and
+        wrap the result in a session.
 
-        Delegates to :class:`repro.serve.factory.SessionFactory` — the
-        one construction path shared with the CLI and fleet workers.
+        Opt, route and sign-off are not run: the predictor reads only
+        the pre-routing inputs.  Delegates to
+        :class:`repro.serve.factory.SessionFactory` — the one
+        construction path shared with the CLI and fleet workers.
         """
         from repro.serve.factory import SessionFactory
 

@@ -66,6 +66,8 @@ def test_cli_serve_rejects_corrupt_model_before_building_flows(
     def no_flow(*args, **kwargs):
         pytest.fail("a flow was built before --model was validated")
 
+    # A model boot runs run_pre_route; a bootstrap, run_scenario_flow.
+    monkeypatch.setattr(repro.flow, "run_pre_route", no_flow)
     monkeypatch.setattr(repro.flow, "run_scenario_flow", no_flow)
     model = tmp_path / "corrupt.pkl"
     model.write_bytes(b"\x80\x04 definitely not a pickle")
