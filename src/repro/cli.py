@@ -387,7 +387,7 @@ def cmd_serve(args) -> int:
     Both modes serve through the async gateway, with graceful drain on
     SIGTERM.  ``--workers 0`` (default) keeps the sessions in this
     process; ``--workers N`` starts the sharded fleet: N worker
-    processes mapping one shared-memory model artifact.
+    processes that inherit the read-only model weights by fork.
     """
     import signal
 
@@ -396,6 +396,7 @@ def cmd_serve(args) -> int:
     from repro.ml.dataset import boot_designs
     from repro.serve import (
         FleetConfig,
+        FleetOpenFailed,
         InProcessBackend,
         MicroBatcher,
         PredictorRegistry,
@@ -431,23 +432,34 @@ def cmd_serve(args) -> int:
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
-    # One forked task per design builds its PreRouteDesign (plus, for
-    # in-process sessions, the model inputs).  With a model only the
-    # pre-route stages run; without one the full flow runs for the
-    # labeled bootstrap samples.  The pool has exited before anything
-    # below binds, starts a thread or forks.
-    built, report = boot_designs(
-        args.designs, flow_config, scenario=args.scenario,
-        map_bins=map_bins if args.workers == 0 else None, seed=args.seed,
-        partition_pins=args.partition_pins,
-        jobs=min(len(os.sched_getaffinity(0)), len(args.designs)),
-        train_bins=None if have_model else map_bins)
-    if report.failed:
-        details = "; ".join(f"{s.design}: {s.error}" for s in report.failed)
-        print(f"error: flow failed for {details}", file=sys.stderr)
-        return 1
-    designs = {d: pre for d, (pre, _, _) in zip(args.designs, built)}
-    inputs = {d: sample for d, (_, sample, _) in zip(args.designs, built)}
+    if have_model and args.workers > 0:
+        # Each fleet worker builds its own shard's designs by name
+        # (SessionFactory.open runs the pre-route stages there), so this
+        # process builds nothing and its workers inherit no design.
+        designs, inputs, train = {d: d for d in args.designs}, {}, []
+    else:
+        # One forked task per design builds its PreRouteDesign (plus,
+        # for in-process sessions, the model inputs).  With a model only
+        # the pre-route stages run; without one the full flow runs for
+        # the labeled bootstrap samples.  The pool has exited before
+        # anything below binds, starts a thread or forks.
+        built, report = boot_designs(
+            args.designs, flow_config, scenario=args.scenario,
+            map_bins=map_bins if args.workers == 0 else None,
+            seed=args.seed, partition_pins=args.partition_pins,
+            jobs=min(len(os.sched_getaffinity(0)), len(args.designs)),
+            train_bins=None if have_model else map_bins)
+        if report.failed:
+            details = "; ".join(f"{s.design}: {s.error}"
+                                for s in report.failed)
+            print(f"error: flow failed for {details}", file=sys.stderr)
+            return 1
+        designs = {d: pre for d, (pre, _, _) in zip(args.designs, built)}
+        inputs = {d: sample
+                  for d, (_, sample, _) in zip(args.designs, built)}
+        # The bootstrap samples are the only labels the boot held.
+        train = [s for _, _, samples in built for s in samples or ()]
+        del built
 
     if args.plan_cache is not None:
         from repro.ml.plancache import configure_plan_cache
@@ -461,9 +473,9 @@ def cmd_serve(args) -> int:
         predictor = TimingPredictor(
             model_config=model_config,
             trainer_config=TrainerConfig(epochs=args.bootstrap_epochs))
-        predictor.fit([s for _, _, train in built for s in train])
+        predictor.fit(train)
         registry.register_predictor("default", predictor)
-    del built   # the bootstrap samples are the only labels it held
+    del train
 
     config = FleetConfig(workers=args.workers, threads=args.threads,
                          microbatch=args.microbatch,
@@ -477,10 +489,17 @@ def cmd_serve(args) -> int:
                          # Ship *specs*: workers re-parse them, which
                          # re-registers any custom corners over there.
                          corners=corner_set.specs,
-                         partition_pins=args.partition_pins)
+                         partition_pins=args.partition_pins,
+                         flow_config=flow_config, scenario=args.scenario)
     if args.workers > 0:
-        backend = TimingFleet(registry.payload("default"), designs, config,
-                              seeds={d: args.seed for d in designs}).start()
+        try:
+            backend = TimingFleet(registry.payload("default"), designs,
+                                  config,
+                                  seeds={d: args.seed for d in designs}
+                                  ).start()
+        except FleetOpenFailed as exc:
+            print(f"error: flow failed for {exc}", file=sys.stderr)
+            return 1
     else:
         def acquire():
             predictor = registry.acquire("default")

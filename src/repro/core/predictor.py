@@ -226,9 +226,10 @@ class TimingPredictor:
         *source* and says to re-train or re-save the predictor.
 
         ``share_state=True`` adopts the payload's weight arrays by
-        reference instead of copying (inference-only; used by the
-        serving fleet to back every worker process's model with one
-        read-only shared-memory segment — see :mod:`repro.serve.shm`).
+        reference instead of copying (inference-only; every serving
+        fleet worker's model adopts the read-only arrays it inherited
+        from the gateway by fork — see
+        :func:`repro.serve.worker.shared_predictor`).
         """
         if not isinstance(payload, dict) or "model_config" not in payload:
             raise _invalid_artifact(

@@ -125,8 +125,11 @@ class Netlist:
     def create_net(self, driver_pin: int, name: Optional[str] = None) -> Net:
         """Create a net driven by *driver_pin* (must be an OUT pin)."""
         pin = self.pins[driver_pin]
-        require(pin.direction == OUT, f"net driver must be an OUT pin: {pin}")
-        require(pin.net is None, f"pin {pin.name} already drives net {pin.net}")
+        # Messages are formatted only on failure: this runs once per net.
+        if pin.direction != OUT:
+            raise ValueError(f"net driver must be an OUT pin: {pin}")
+        if pin.net is not None:
+            raise ValueError(f"pin {pin.name} already drives net {pin.net}")
         nid = self._next_net
         self._next_net += 1
         net = Net(nid, name if name is not None else f"n{nid}", driver_pin)
@@ -137,15 +140,18 @@ class Netlist:
     def connect(self, nid: int, sink_pin: int) -> None:
         """Attach an IN pin as a sink of net *nid*."""
         pin = self.pins[sink_pin]
-        require(pin.direction == IN, f"net sink must be an IN pin: {pin}")
-        require(pin.net is None, f"pin {pin.name} already on net {pin.net}")
+        if pin.direction != IN:
+            raise ValueError(f"net sink must be an IN pin: {pin}")
+        if pin.net is not None:
+            raise ValueError(f"pin {pin.name} already on net {pin.net}")
         self.nets[nid].sinks.append(sink_pin)
         pin.net = nid
 
     def disconnect(self, sink_pin: int) -> None:
         """Detach a sink pin from its net."""
         pin = self.pins[sink_pin]
-        require(pin.net is not None, f"pin {pin.name} is not connected")
+        if pin.net is None:
+            raise ValueError(f"pin {pin.name} is not connected")
         net = self.nets[pin.net]
         net.sinks.remove(sink_pin)
         pin.net = None

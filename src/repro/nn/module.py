@@ -197,9 +197,9 @@ def load_state_dict(module: Module, state: List[np.ndarray],
     """Restore parameters saved by :func:`state_dict`.
 
     With ``copy=False`` matching float64 arrays are **adopted by
-    reference** instead of copied — the serving fleet passes read-only
-    shared-memory views here so N worker processes share one set of
-    weights.  Inference never writes parameter data, so read-only
+    reference** instead of copied — the serving fleet passes the
+    read-only arrays its N worker processes inherit by fork here, so
+    they share one set of weights.  Inference never writes parameter data, so read-only
     backing is safe; training such a module would raise on the first
     optimizer step (the arrays are not writable), which is the intended
     guard.

@@ -22,7 +22,8 @@ Layering (see DESIGN.md):
   :class:`InProcessBackend` (``repro serve --workers 0``: sessions in
   the gateway process, dispatched on a thread pool) or
   :class:`TimingFleet` (``--workers N``: requests sharded by design to
-  worker processes that map one shared-memory model artifact).
+  worker processes that build their own designs and inherit the
+  read-only model weights by fork).
 """
 
 from repro.serve.api import (
@@ -43,6 +44,7 @@ from repro.serve.factory import SessionFactory
 from repro.serve.featurize import IncrementalFeaturizer
 from repro.serve.fleet import (
     FleetConfig,
+    FleetOpenFailed,
     FleetOverloaded,
     InProcessBackend,
     TimingFleet,
@@ -50,7 +52,6 @@ from repro.serve.fleet import (
 from repro.serve.gateway import TimingGateway
 from repro.serve.registry import PredictorRegistry
 from repro.serve.session import EDIT_OPS, DesignSession, Edit
-from repro.serve.shm import SharedArtifact, ShmArtifactMeta, attach_artifact
 
 __all__ = [
     "ApiError",
@@ -62,6 +63,7 @@ __all__ = [
     "EDIT_OPS",
     "Edit",
     "FleetConfig",
+    "FleetOpenFailed",
     "FleetOverloaded",
     "HealthResponse",
     "InProcessBackend",
@@ -72,12 +74,9 @@ __all__ = [
     "PredictorRegistry",
     "RequestDispatcher",
     "SessionFactory",
-    "SharedArtifact",
-    "ShmArtifactMeta",
     "SUPPORTED_API_VERSIONS",
     "TimingFleet",
     "TimingGateway",
     "WhatifRequest",
     "WhatifResponse",
-    "attach_artifact",
 ]

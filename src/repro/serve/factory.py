@@ -23,14 +23,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+import repro.flow
 from repro.core.predictor import TimingPredictor
-from repro.flow import (
-    FlowConfig,
-    FlowResult,
-    PreRouteDesign,
-    ScenarioSpec,
-    run_pre_route,
-)
+from repro.flow import FlowConfig, FlowResult, PreRouteDesign, ScenarioSpec
 from repro.ml.sample import DesignSample
 from repro.serve.session import DesignSession, Edit
 from repro.utils import require
@@ -109,7 +104,9 @@ class SessionFactory:
         """
         seed = self.default_seed if seed is None else seed
         if isinstance(design, str):
-            design = run_pre_route(
+            # Looked up through the module at call time, so a patched
+            # ``repro.flow`` entry point runs here and in forked workers.
+            design = repro.flow.run_pre_route(
                 design, self.flow_config or FlowConfig(base_seed=seed),
                 scenario=self.scenario)
         if self.batcher is not None:

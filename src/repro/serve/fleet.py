@@ -10,19 +10,29 @@ worker processes (:mod:`repro.serve.worker`):
   worker (round-robin assignment at startup, sticky thereafter), so a
   design's committed state has a single home and no cross-process
   session coherence is needed.
-* **Shared weights.**  The predictor artifact is published once into
-  shared memory (:mod:`repro.serve.shm`); every worker maps the same
-  read-only segment.
+* **Workers build their own shard.**  The fleet sends each worker what
+  it was given per design: a design *name*, which the worker builds
+  itself (pre-route stages, from :attr:`FleetConfig.flow_config` and
+  :attr:`FleetConfig.scenario`), or a
+  :class:`~repro.flow.PreRouteDesign` the gateway already holds (the
+  model-less bootstrap).  A design that cannot be built ends
+  :meth:`TimingFleet.start` with :class:`FleetOpenFailed`.
+* **Weights by fork.**  The gateway marks the artifact payload's weight
+  arrays read-only and forks the workers; each worker's model adopts
+  those arrays by reference, so the fleet holds one copy of the weights
+  in copy-on-write pages that are never written (see
+  :func:`repro.serve.worker.shared_predictor`).
 * **Backpressure.**  Per-worker in-flight queues are bounded
   (``queue_depth``); :meth:`TimingFleet.submit` raises
   :class:`FleetOverloaded` when a shard is full and the gateway turns
   that into a 503 with ``Retry-After``.
 * **Crash recovery.**  Every worker's process sentinel is watched by the
   gateway's selector loop; on death the fleet spawns a replacement,
-  re-opens the dead worker's sessions (replaying the committed-edit
-  journal so revisions are restored), transparently resubmits *pure*
-  in-flight requests (reads, predictions, uncommitted what-ifs) and
-  fails committed what-ifs with a retryable 503 — a commit that was
+  re-opens the dead worker's sessions from the same open message (a
+  name is rebuilt), replays the committed-edit journal so revisions are
+  restored, transparently resubmits *pure* in-flight requests (reads,
+  predictions, uncommitted what-ifs) and fails committed what-ifs with
+  a retryable 503 — a commit that was
   in-flight on a dying worker may or may not have been applied there,
   but the journal only ever contains acknowledged commits, so the
   replacement's state is unambiguous.
@@ -43,15 +53,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.flow import FlowResult, PreRouteDesign
+from repro.flow import FlowConfig, FlowResult, PreRouteDesign
 from repro.serve.dispatch import (
     ApiError,
     RequestDispatcher,
     unknown_design_error,
 )
 from repro.serve.session import DesignSession
-from repro.serve.shm import SharedArtifact
-from repro.serve.worker import worker_main
+from repro.serve.worker import freeze_weights, worker_main
 from repro.utils import get_logger, require
 
 logger = get_logger("serve.fleet")
@@ -69,6 +78,19 @@ class FleetOverloaded(ApiError):
                          f"shard serving {design!r} has {depth} requests "
                          "in flight; retry later")
         self.retry_after_s = 1
+
+
+class FleetOpenFailed(RuntimeError):
+    """Workers could not build or open some designs at start.
+
+    ``failures`` maps each such design to its ``"<Type>: <message>"``
+    reason; the message joins them as ``"<design>: <reason>; ..."``.
+    """
+
+    def __init__(self, failures: Dict[str, str]) -> None:
+        self.failures = dict(sorted(failures.items()))
+        super().__init__("; ".join(f"{d}: {r}"
+                                   for d, r in self.failures.items()))
 
 
 @dataclass(frozen=True)
@@ -95,6 +117,10 @@ class FleetConfig:
     session_ttl_s: Optional[float] = None  # idle-session eviction TTL
     corners: Tuple[str, ...] = ("base",)  # sign-off corners every worker serves
     partition_pins: Optional[int] = None  # streaming chunk-size hint
+    #: Flow config and scenario a worker builds a design *name* with;
+    #: ``None`` is ``FlowConfig(base_seed=seed)`` and the plain flow.
+    flow_config: Optional[FlowConfig] = None
+    scenario: Optional[str] = None
 
 
 @dataclass
@@ -139,6 +165,7 @@ class WorkerHandle:
         self.designs: Set[str] = set()
         self.inflight: Set[int] = set()  # rids awaiting a reply
         self.ready: Set[str] = set()     # designs acked via ("ready", ...)
+        self.failed: Dict[str, str] = {}  # design → open_failed reason
         self.drained = False
         self.restarts = 0
 
@@ -166,7 +193,7 @@ class TimingFleet:
     """Owns the worker processes and routes requests to design shards."""
 
     def __init__(self, payload: Dict[str, Any],
-                 flows: Dict[str, Union[PreRouteDesign, FlowResult]],
+                 flows: Dict[str, Union[str, PreRouteDesign, FlowResult]],
                  config: Optional[FleetConfig] = None,
                  seeds: Optional[Dict[str, int]] = None) -> None:
         self.config = config or FleetConfig()
@@ -174,14 +201,18 @@ class TimingFleet:
                 "a fleet needs at least one worker (use InProcessBackend "
                 "for --workers 0)")
         require(len(flows) >= 1, "a fleet needs at least one design")
-        #: design → the PreRouteDesign its worker opens a session on.
-        #: Only these cross the pipe, so no worker (nor a respawn) ever
-        #: unpickles sign-off data; adopted FlowResults are cut down here.
-        self.flows: Dict[str, PreRouteDesign] = {
+        require(isinstance(payload, dict) and "state" in payload,
+                "artifact payload must be a dict with a 'state' entry")
+        #: design → what its worker opens a session on: the design name
+        #: (the worker builds it) or a PreRouteDesign.  Only these cross
+        #: the pipe, so no worker (nor a respawn) ever unpickles sign-off
+        #: data; adopted FlowResults are cut down here.
+        self.flows: Dict[str, Union[str, PreRouteDesign]] = {
             d: f.pre_route() if isinstance(f, FlowResult) else f
             for d, f in flows.items()}
         self.seeds = dict(seeds or {})
-        self.artifact = SharedArtifact.publish(payload)
+        #: Forked workers inherit these arrays; read-only before any fork.
+        self.payload = freeze_weights(payload)
         self.workers: List[WorkerHandle] = []
         #: design → worker id (sticky shard assignment).
         self.routing: Dict[str, int] = {}
@@ -195,6 +226,7 @@ class TimingFleet:
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
         self._started = False
+        self._up = False     # start() returned: open failures are respawns
         self._stopped = False
         self.draining = False
 
@@ -214,7 +246,8 @@ class TimingFleet:
             self.routing[design] = worker.id
             self._send_open(worker, design)
         deadline = time.perf_counter() + self.config.start_timeout_s
-        while any(w.ready != w.designs for w in self.workers):
+        while any(w.ready.union(w.failed) != w.designs
+                  for w in self.workers):
             if time.perf_counter() > deadline:
                 self.stop()
                 raise TimeoutError(
@@ -228,6 +261,11 @@ class TimingFleet:
                     raise RuntimeError(
                         f"fleet worker {worker.id} (pid {worker.pid}) "
                         "died during startup")
+        failures = {d: r for w in self.workers for d, r in w.failed.items()}
+        if failures:
+            self.stop()
+            raise FleetOpenFailed(failures)
+        self._up = True
         logger.info("fleet up: %d workers, %d designs (%s)", n,
                     len(self.flows),
                     ", ".join(f"w{w.id}:{sorted(w.designs)}"
@@ -236,23 +274,11 @@ class TimingFleet:
 
     def _spawn(self, worker_id: int) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        worker_config = {
-            "threads": self.config.threads,
-            "microbatch": self.config.microbatch,
-            "microbatch_wait_ms": self.config.microbatch_wait_ms,
-            "deadline_s": self.config.deadline_s,
-            "fault_injection": self.config.fault_injection,
-            "precision": self.config.precision,
-            "plan_cache_dir": self.config.plan_cache_dir,
-            "session_ttl_s": self.config.session_ttl_s,
-            "corners": list(self.config.corners),
-            "partition_pins": self.config.partition_pins,
-        }
+        # Under fork the arguments are inherited, not pickled: the
+        # worker's weights are this process's payload arrays.
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker_id, worker_config,
-                  self.artifact.meta, self.config.trace_dir,
-                  self.config.tracing),
+            args=(child_conn, worker_id, self.config, self.payload),
             name=f"repro-fleet-w{worker_id}",
             daemon=True)
         process.start()
@@ -260,12 +286,12 @@ class TimingFleet:
         return WorkerHandle(worker_id, process, parent_conn)
 
     def _send_open(self, worker: WorkerHandle, design: str) -> None:
-        worker.conn.send(("open", design, self.flows[design],
-                          self.seeds.get(design, 0),
-                          [list(batch) for batch in self.journal[design]]))
+        self._send(worker, ("open", design, self.flows[design],
+                            self.seeds.get(design, 0),
+                            [list(b) for b in self.journal[design]]))
 
     def stop(self) -> None:
-        """Kill every worker and release the shared segment (idempotent)."""
+        """Stop every worker, killing any that lingers (idempotent)."""
         if self._stopped:
             return
         self._stopped = True
@@ -283,7 +309,6 @@ class TimingFleet:
                 worker.conn.close()
             except OSError:
                 pass
-        self.artifact.unlink()
 
     def drain_begin(self) -> None:
         """Send every live worker its drain marker (non-blocking).
@@ -342,7 +367,7 @@ class TimingFleet:
                                      path=path, body=body, on_done=on_done,
                                      t_end=t_end, committed=committed)
         worker.inflight.add(rid)
-        worker.conn.send(("request", rid, method, path, body))
+        self._send(worker, ("request", rid, method, path, body))
         return rid
 
     def fanout(self, kind: str,
@@ -360,11 +385,25 @@ class TimingFleet:
             self.pending[rid] = (op, kind)
             worker.inflight.add(rid)
             if kind == "designs":
-                worker.conn.send(("request", rid, "GET", "/designs", None))
+                self._send(worker, ("request", rid, "GET", "/designs", None))
             else:
-                worker.conn.send((kind, rid))
+                self._send(worker, (kind, rid))
         if op.complete:
             op.on_done(op.replies)
+
+    @staticmethod
+    def _send(worker: WorkerHandle, msg) -> None:
+        """Write *msg* to *worker*'s pipe.
+
+        A worker that died before the loop handled its sentinel refuses
+        the write.  Whatever was being sent is already in its in-flight
+        set, so :meth:`handle_worker_death` re-homes it like any other
+        request the worker took down with it.
+        """
+        try:
+            worker.conn.send(msg)
+        except OSError:
+            pass
 
     def _next_rid(self) -> int:
         self._rid += 1
@@ -414,6 +453,16 @@ class TimingFleet:
         elif kind == "ready":
             _, design, _info = msg
             worker.ready.add(design)
+        elif kind == "open_failed":
+            _, design, reason = msg
+            worker.failed[design] = reason
+            if self._up:
+                # A replacement could not rebuild the design: stop
+                # routing to it rather than answer from nowhere.
+                logger.error("fleet worker %d could not reopen %s (%s); "
+                             "no longer serving it", worker.id, design,
+                             reason)
+                self._forget_design(design)
         elif kind == "evicted":
             # Pipe ordering guarantees this lands before the DELETE's own
             # ("response", ...), so routing is updated by the time the
@@ -502,7 +551,7 @@ class TimingFleet:
             # The fleet-wide drain already passed this worker by; the
             # replacement must drain too (after the re-homed requests,
             # which are ahead of it in the pipe) or the drain never ends.
-            replacement.conn.send(("drain",))
+            self._send(replacement, ("drain",))
         return replacement
 
     def pump_remains(self, worker: WorkerHandle) -> None:
@@ -530,8 +579,8 @@ class TimingFleet:
             entry.retried = True
             self.pending[entry.rid] = entry
             replacement.inflight.add(entry.rid)
-            replacement.conn.send(("request", entry.rid, entry.method,
-                                   entry.path, entry.body))
+            self._send(replacement, ("request", entry.rid, entry.method,
+                                     entry.path, entry.body))
             return
         entry.on_done(503, _error_payload(
             "worker_lost",

@@ -102,8 +102,8 @@ class PredictorRegistry:
     def payload(self, name: str) -> Any:
         """The validated raw artifact payload (read-only by convention).
 
-        The fleet publishes this into shared memory once instead of
-        acquiring a predictor per worker process.
+        The fleet's forked workers adopt its weight arrays by reference
+        instead of acquiring a predictor each.
         """
         with self._lock:
             require(name in self._payloads,

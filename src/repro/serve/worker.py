@@ -5,14 +5,18 @@ routes by design-session affinity, so a design's session lives in
 exactly one process at a time).  The process layout mirrors the
 in-process backend so the two paths stay bit-identical:
 
-* the model is rebuilt from the **shared-memory artifact** with
-  ``share_state=True`` — parameters are read-only views into the one
-  fleet-wide segment (see :mod:`repro.serve.shm`);
+* the model's parameters **are** the artifact payload's weight arrays
+  (``share_state=True``), inherited from the gateway by ``fork`` and
+  marked read-only (:func:`shared_predictor`): no copy, no shared
+  segment, and a write raises instead of corrupting a sibling;
 * per-design :class:`~repro.serve.session.DesignSession` objects are
-  materialized from pickled :class:`~repro.flow.PreRouteDesign` objects
-  sent over the pipe — never a whole flow with its sign-off data (and
-  *re*-materialized the same way on a replacement worker after a crash,
-  with the committed-edit journal replayed to restore revisions);
+  built through :class:`~repro.serve.SessionFactory` from whatever the
+  ``open`` message carries: a design *name* (the worker runs the
+  pre-route stages itself, from the fleet's ``FlowConfig`` and
+  scenario), or a pickled :class:`~repro.flow.PreRouteDesign` (the
+  model-less bootstrap, whose gateway already built one).  A
+  replacement worker after a crash opens the same way and replays the
+  committed-edit journal to restore revisions;
 * concurrent requests run on a small thread pool and funnel their
   inferences through one :class:`~repro.serve.MicroBatcher`, so a burst
   within a worker coalesces into a single packed forward;
@@ -26,8 +30,9 @@ gateway end lives in :mod:`repro.serve.fleet`):
 ====================================  =================================
 parent → worker                       worker → parent
 ====================================  =================================
-``("open", design, pre_route, seed,   ``("ready", design, info)``
-``  replay_edits)``
+``("open", design, spec, seed,        ``("ready", design, info)``, or
+``  replay_edits)``; *spec* is the    ``("open_failed", design, reason)``
+name or a ``PreRouteDesign``          when the build or replay raises
 ``("request", rid, method, path,      ``("response", rid, status,
 ``  body)``                           ``  payload)``
 ``("metrics", rid)``                  ``("metrics_reply", rid, snap)``
@@ -54,18 +59,43 @@ from repro.obs.merge import worker_trace_path
 from repro.obs.trace import configure_tracing
 
 
-def worker_main(conn, worker_id: int, config: Dict[str, Any],
-                shm_meta, trace_dir: Optional[str],
-                tracing: bool) -> None:
-    """Process entry point (importable top-level for any start method)."""
-    # Local imports keep module import light for the parent process.
+def freeze_weights(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Mark *payload*'s weight arrays read-only in place; returns it.
+
+    The gateway calls this before it forks the workers and every worker
+    calls it again at entry: under ``fork`` the arrays are the gateway's
+    own (already read-only) pages, under the ``spawn`` fallback they
+    arrive as writable unpickled copies.
+    """
+    for arr in payload["state"]:
+        arr.flags.writeable = False
+    return payload
+
+
+def shared_predictor(payload: Dict[str, Any], precision: str):
+    """A predictor whose parameters are *payload*'s read-only arrays."""
     from repro.core.predictor import TimingPredictor
+
+    predictor = TimingPredictor.from_artifact(
+        freeze_weights(payload), source="<fleet>", share_state=True)
+    if precision != predictor.precision:
+        predictor.set_precision(precision)
+    return predictor
+
+
+def worker_main(conn, worker_id: int, config,
+                payload: Dict[str, Any]) -> None:
+    """Process entry point (importable top-level for any start method).
+
+    *config* is the fleet's :class:`~repro.serve.FleetConfig`; *payload*
+    is the artifact payload the weights are read from.
+    """
+    # Local imports keep module import light for the parent process.
     from repro.ml.plancache import configure_plan_cache
     from repro.serve.batcher import MicroBatcher
     from repro.serve.dispatch import RequestDispatcher
     from repro.serve.factory import SessionFactory
     from repro.serve.session import DesignSession
-    from repro.serve.shm import attach_artifact
 
     # The parent coordinates shutdown over the pipe (drain → stop).
     # SIGTERM/SIGINT aimed at the process *group* (systemd, ``timeout``,
@@ -81,43 +111,36 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
     # per-worker trace sink so the parent can merge spans back later.
     tracer = get_tracer()
     tracer.reset()
-    if tracing and trace_dir:
+    if config.tracing and config.trace_dir:
         configure_tracing(enabled=True,
-                          jsonl_path=worker_trace_path(trace_dir))
+                          jsonl_path=worker_trace_path(config.trace_dir))
     else:
         tracer.disable()
     get_metrics().reset()
     get_metrics().gauge("serve.worker.id").set(worker_id)
 
-    shm, payload = attach_artifact(shm_meta)
-    predictor = TimingPredictor.from_artifact(payload, source="<shm>",
-                                              share_state=True)
-    precision = str(config.get("precision") or "fp64")
-    if precision != predictor.precision:
-        predictor.set_precision(precision)
-    if config.get("plan_cache_dir"):
-        configure_plan_cache(config["plan_cache_dir"])
-    microbatch = int(config.get("microbatch", 8))
-    threads = int(config.get("threads", 4))
+    predictor = shared_predictor(payload, config.precision)
+    if config.plan_cache_dir:
+        configure_plan_cache(config.plan_cache_dir)
     batcher = None
-    if microbatch > 1:
+    if config.microbatch > 1:
         batcher = MicroBatcher(
-            predictor, max_batch=microbatch,
-            max_wait_s=float(config.get("microbatch_wait_ms", 2.0)) * 1e-3)
+            predictor, max_batch=config.microbatch,
+            max_wait_s=config.microbatch_wait_ms * 1e-3)
 
     sessions: Dict[str, DesignSession] = {}
     dispatcher = RequestDispatcher(
         sessions,
-        max_concurrent=threads,
-        deadline_s=float(config.get("deadline_s", 30.0)),
+        max_concurrent=config.threads,
+        deadline_s=config.deadline_s,
         batcher=batcher,
-        fault_injection=bool(config.get("fault_injection", False)),
-        session_ttl_s=config.get("session_ttl_s"),
+        fault_injection=config.fault_injection,
+        session_ttl_s=config.session_ttl_s,
         # ``send`` is defined below; the closure resolves it at call time
         # (evictions only happen while requests are being served).
         on_evict=lambda design: send(("evicted", design)))
 
-    pool = ThreadPoolExecutor(max_workers=threads,
+    pool = ThreadPoolExecutor(max_workers=config.threads,
                               thread_name_prefix=f"repro-w{worker_id}")
     send_lock = threading.Lock()
 
@@ -141,34 +164,33 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
             metrics.counter("serve.worker.errors").inc()
         send(("response", rid, status, payload))
 
-    # Shared read-only weights need no per-session model copies: the
-    # batcher serializes access when batching is on; otherwise each
-    # session gets its own module instances (caches are per-module,
-    # weights still alias the shared segment).
-    def acquire_predictor() -> TimingPredictor:
-        own = TimingPredictor.from_artifact(payload, source="<shm>",
-                                            share_state=True)
-        if precision != own.precision:
-            own.set_precision(precision)
-        return own
-
     # The gateway ships corner *specs* (names or ``name:V:T`` triples);
     # parsing them here re-registers any custom corners in this process,
     # and the factory then only needs the resolved names.
-    corner_specs = config.get("corners")
     corner_names = None
-    if corner_specs:
+    if config.corners:
         from repro.timing import CornerSet
 
-        corner_names = CornerSet.parse(corner_specs).names
-    factory = SessionFactory(acquire_predictor, batcher=batcher,
-                             corners=corner_names,
-                             partition_pins=config.get("partition_pins"))
+        corner_names = CornerSet.parse(list(config.corners)).names
+    # Read-only weights need no per-session model copies: the batcher
+    # serializes access when batching is on; otherwise each session gets
+    # its own module instances (caches are per-module, weights still
+    # alias the payload's arrays).
+    factory = SessionFactory(
+        lambda: shared_predictor(payload, config.precision),
+        batcher=batcher, flow_config=config.flow_config,
+        corners=corner_names, partition_pins=config.partition_pins,
+        scenario=config.scenario)
 
-    def open_design(design: str, pre_route, seed: int, replay) -> None:
-        session = factory.open(pre_route, seed=seed, replay=replay)
+    def open_design(design: str, spec, seed: int, replay) -> None:
+        try:
+            session = factory.open(spec, seed=seed, replay=replay)
+        except Exception as exc:
+            # Reported, not raised: the gateway decides whether a
+            # design that cannot be built ends the boot.
+            send(("open_failed", design, f"{type(exc).__name__}: {exc}"))
+            return
         # Publish only once fully materialized (journal replayed).
-        dispatcher.sessions[design] = session
         sessions[design] = session
         send(("ready", design, session.describe()))
 
@@ -178,7 +200,7 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
             "worker_id": worker_id,
             "pid": os.getpid(),
             "designs": sorted(sessions),
-            "shm_read_only": bool(params) and all(
+            "weights_read_only": bool(params) and all(
                 not p.data.flags.writeable for p in params),
             "microbatch": batcher.describe() if batcher else None,
         }
@@ -191,8 +213,8 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
                 break  # gateway went away; nothing left to serve
             kind = msg[0]
             if kind == "open":
-                _, design, pre_route, seed, replay = msg
-                open_design(design, pre_route, seed, replay)
+                _, design, spec, seed, replay = msg
+                open_design(design, spec, seed, replay)
             elif kind == "request":
                 _, rid, method, path, body = msg
                 pool.submit(run_request, rid, method, path, body)
@@ -214,10 +236,6 @@ def worker_main(conn, worker_id: int, config: Dict[str, Any],
     finally:
         if batcher is not None:
             batcher.stop()
-        try:
-            shm.close()
-        except (OSError, BufferError):  # pragma: no cover
-            pass
         try:
             conn.close()
         except OSError:  # pragma: no cover

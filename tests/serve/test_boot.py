@@ -12,7 +12,9 @@ label-free inputs).  Under test:
   the pre-route stages (no optimizer counter, no route or sign-off
   span);
 * ``repro serve`` reports a failed flow as one ``error:`` line, and no
-  pool process is alive once the gateway binds or the fleet forks.
+  pool process is alive once the gateway binds or the fleet forks; a
+  design that fails to build inside a fleet worker ends the boot the
+  same way, with no worker left alive.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ pytestmark = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
 
 def _children() -> set:
     """PIDs of this process's live (or unreaped) children, except the
-    interpreter-wide ``multiprocessing`` resource tracker: the fleet's
-    shared memory starts it once, and it lives until the interpreter
-    exits by design."""
+    interpreter-wide ``multiprocessing`` resource tracker: any test that
+    starts a ``spawn`` process starts it once, and it lives until the
+    interpreter exits by design."""
     out = set()
     for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
         with open(path) as fh:
@@ -203,6 +205,37 @@ def test_cli_serve_reports_a_failed_pool_flow(tmp_path, capsys,
     assert len(errors) == 1
     assert "steelcore" in errors[0] and "placement diverged" in errors[0]
     assert "xgate" not in errors[0]
+    assert "Traceback" not in err
+
+
+def test_cli_serve_reports_a_failed_fleet_worker_build(tmp_path, capfd,
+                                                      monkeypatch,
+                                                      served_predictor):
+    """A model fleet builds its designs in the workers: a build that
+    raises there ends the boot with one ``error:`` line and exit 1."""
+    import repro.flow
+
+    model = tmp_path / "model.pkl"
+    served_predictor.save(model)
+    real = repro.flow.run_pre_route
+
+    def flaky(design, *args, **kwargs):
+        if design == "steelcore":
+            raise RuntimeError("placement diverged")
+        return real(design, *args, **kwargs)
+
+    # Forked workers inherit the patched module attribute.
+    monkeypatch.setattr(repro.flow, "run_pre_route", flaky)
+    before = _children()
+    assert main(["serve", "--designs", *DESIGNS, "--scale", "0.2",
+                 "--model", str(model), "--port", "0",
+                 "--workers", "2"]) == 1
+    assert _children() <= before, "a fleet worker outlived the call"
+    err = capfd.readouterr().err   # fd-level: worker output included
+    errors = [line for line in err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: flow failed for steelcore: "
+                      "RuntimeError: placement diverged"]
     assert "Traceback" not in err
 
 

@@ -7,7 +7,8 @@ Proves the ISSUE's recovery contract:
   retried on the replacement worker, committed what-ifs get a clean,
   retryable 503 (never a hang, never a wrong answer);
 * the dead worker's sessions re-materialize on the replacement with
-  their committed revisions intact (journal replay);
+  their committed revisions intact (journal replay), also when the
+  fleet was given design names and the replacement rebuilds the design;
 * a drain (SIGTERM path) finishes in-flight requests before shutdown
   and sheds new ones with a structured 503.
 """
@@ -22,6 +23,7 @@ import time
 import pytest
 
 from repro.flow import run_flow
+from repro.serve import FleetConfig, TimingFleet
 
 from .conftest import FLOW_CONFIG, http_call
 
@@ -107,6 +109,31 @@ class TestKillNineMidRequest:
         assert worker["restarts"] == 1 and worker["alive"]
 
 
+    def test_request_sent_before_the_death_is_seen_is_rehomed(
+            self, xgate_flow, artifact_payload):
+        """A worker that is dead but not yet reaped by the loop refuses
+        the pipe write; the request is re-homed with the worker's other
+        in-flight requests instead of failing the gateway (no 500)."""
+        fleet = TimingFleet(artifact_payload, {"xgate": xgate_flow},
+                            FleetConfig(workers=1, threads=1,
+                                        microbatch=1)).start()
+        try:
+            dead = fleet.workers[0]
+            os.kill(dead.pid, signal.SIGKILL)
+            dead.process.join(timeout=10.0)
+            replies = []
+            fleet.submit("xgate", "POST", "/predict", {"design": "xgate"},
+                         lambda status, body: replies.append(status))
+            replacement = fleet.handle_worker_death(dead)
+            deadline = time.perf_counter() + 60.0
+            while not replies and time.perf_counter() < deadline:
+                if replacement.conn.poll(0.05):
+                    fleet.pump(replacement)
+            assert replies == [200]
+        finally:
+            fleet.stop()
+
+
 class TestRematerialization:
     def test_committed_revisions_survive_worker_death(self, gateway):
         """Journal replay restores the shard's committed state."""
@@ -143,6 +170,43 @@ class TestRematerialization:
             _, _, health = http_call(gateway.address, "GET", "/health")
             assert (health["fleet"]["per_worker"][0]["restarts"]
                     == round_no)
+
+
+class TestRebuildByName:
+    def test_replacement_rebuilds_replays_and_answers_alike(
+            self, fleet_gateway):
+        """A name-built fleet's replacement worker runs the pre-route
+        stages itself, replays the journal and answers as before."""
+        gateway = fleet_gateway({"xgate": "xgate"}, workers=1,
+                                flow_config=FLOW_CONFIG)
+        status, _, committed = http_call(
+            gateway.address, "POST", "/whatif",
+            {"design": "xgate", "commit": True,
+             "edits": [{"op": "move", "cell": 1, "x": 2.5, "y": 2.5}]})
+        assert status == 200 and committed["revision"] == 1
+        probe = {"design": "xgate",
+                 "edits": [{"op": "move", "cell": 2, "x": 1.0, "y": 1.0}]}
+        _, _, before = http_call(gateway.address, "POST", "/predict",
+                                 {"design": "xgate"})
+        _, _, whatif_before = http_call(gateway.address, "POST",
+                                        "/whatif", probe)
+
+        _, pid = _home_pid(gateway)
+        os.kill(pid, signal.SIGKILL)
+
+        status, _, after = http_call(gateway.address, "POST", "/predict",
+                                     {"design": "xgate"}, timeout=60.0)
+        assert status == 200
+        assert after["revision"] == 1, "journal replay lost the commit"
+        assert after["predictions"] == before["predictions"]
+        _, _, whatif_after = http_call(gateway.address, "POST", "/whatif",
+                                       probe)
+        for reply in (whatif_before, whatif_after):
+            reply.pop("latency_ms")   # wall clock, not an answer
+        assert whatif_after == whatif_before
+        _, _, health = http_call(gateway.address, "GET", "/health")
+        worker = health["fleet"]["per_worker"][0]
+        assert worker["restarts"] == 1 and worker["pid"] != pid
 
 
 class TestDrain:

@@ -206,7 +206,7 @@ class TestWorkerIsolation:
                 time.sleep(0.01)
             assert replies, "describe fan-out never completed"
             for info in replies:
-                assert info["shm_read_only"] is True
+                assert info["weights_read_only"] is True
                 assert info["designs"] == ["xgate"]
         finally:
             fleet.stop()
