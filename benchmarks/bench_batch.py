@@ -26,6 +26,7 @@ from repro.ml.batch import PackedBatch
 from repro.ml.dataset import build_sample
 from repro.ml.plancache import PLAN_CACHE
 from repro.nn import inference_mode, workspace
+from repro.timing import stream_plan_for
 
 from benchmarks.conftest import emit_bench, run_once
 
@@ -211,8 +212,8 @@ def _op_timings(predictor, fleet) -> dict:
     }
     if model.gnn is not None:
         ops["gnn"] = _best_time(
-            scoped(lambda: model.gnn.forward(batch,
-                                             training=False))) * 1e3
+            scoped(lambda: model.gnn.forward_stream(
+                batch, stream_plan_for(batch)))) * 1e3
     if model.cnn is not None:
         ops["cnn"] = _best_time(
             scoped(lambda: model.cnn.forward_batch(

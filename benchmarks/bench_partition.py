@@ -3,8 +3,8 @@
 The tentpole claim of the partition subsystem is *bounded working set at
 bit-identical output*: featurization and GNN inference over the
 ``large`` preset (≥100k timing-graph pins) must run under a peak-RSS
-ceiling that the monolithic whole-graph path exceeds, while producing
-the exact same endpoint embeddings.
+ceiling that the whole-graph run (mode ``full``: the one-chunk stream
+plan) exceeds, while producing the exact same endpoint embeddings.
 
 ``ru_maxrss`` is a process-lifetime high-water mark — it can never go
 back down — so the two modes cannot share a process: this file doubles
@@ -118,8 +118,9 @@ def _child_main(argv) -> int:
     # exercises every matmul.
     gnn = EndpointGNN(args.hidden, CELL_FEATURE_DIM, NET_FEATURE_DIM,
                       np.random.default_rng(args.seed), residual=False)
-    if stream_mode:
-        plan = build_stream_plan(sample, args.pins)
+    # Both modes run the one inference path; "full" is the one-chunk
+    # plan, so it still holds whole-graph buffers.
+    plan = build_stream_plan(sample, args.pins if stream_mode else None)
 
     rss_before_kb = _current_rss_kb()
     peak_before_kb = _peak_rss_kb()
@@ -127,18 +128,14 @@ def _child_main(argv) -> int:
     # inference_mode matches the serving path (and the streaming memory
     # contract): no layer caches a backward activations stack.
     with inference_mode():
-        if stream_mode:
-            out = gnn.forward_stream(sample, plan)
-        else:
-            out = gnn.forward(sample,
-                              training=False)[sample.endpoint_nodes]
+        out = gnn.forward_stream(sample, plan)
     forward_s = time.perf_counter() - t0
     peak_after_kb = _peak_rss_kb()
 
     print(json.dumps({
         "mode": args.mode,
         "pins": args.pins if stream_mode else None,
-        "n_chunks": len(plan.chunks) if stream_mode else 1,
+        "n_chunks": len(plan.chunks),
         "hidden": args.hidden,
         "n_nodes": int(sample.n_nodes),
         "n_endpoints": int(len(sample.endpoint_nodes)),

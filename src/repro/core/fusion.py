@@ -132,8 +132,9 @@ class RestructureTolerantModel(Module):
 
         One GNN pass over the union graph, one CNN pass over the stacked
         layout maps; returns the packed ``(E,)`` prediction vector in the
-        batch's endpoint order.  ``training=False`` lets the GNN skip its
-        backward bookkeeping (same output, no backward afterwards).
+        batch's endpoint order.  ``training=False`` runs the GNN's
+        streamed inference forward, which keeps no backward bookkeeping
+        (same output, no backward afterwards).
         """
         require(batch.masks.shape[1] == (self.config.map_bins // 4) ** 2
                 or self.cnn is None,
@@ -148,20 +149,14 @@ class RestructureTolerantModel(Module):
         inference = not training
         parts = []
         if self.gnn is not None:
-            stream = stream_plan_for(batch) if inference else None
-            if stream is not None:
-                # Partitioned path: chunk-streamed level execution that
-                # returns endpoint rows directly (bit-identical to the
-                # monolithic forward; never builds the (n, h) table).
-                parts.append(self.gnn.forward_stream(batch, stream))
-            elif inference:
-                h = self.gnn.forward(batch, training=training)
-                # Plain np.take: the out= variant goes through numpy's
-                # buffered copy path and is ~2x slower than allocating.
-                parts.append(np.take(h, batch.endpoint_nodes, axis=0))
+            if inference:
+                # Chunk-streamed level execution (the whole graph is one
+                # chunk when the batch carries no partition_pins); it
+                # returns the endpoint rows directly.
+                parts.append(self.gnn.forward_stream(
+                    batch, stream_plan_for(batch)))
             else:
-                h = self.gnn.forward(batch, training=training)
-                parts.append(h[batch.endpoint_nodes])
+                parts.append(self.gnn.forward(batch)[batch.endpoint_nodes])
         masks = None
         if self.cnn is not None:
             global_maps = self.cnn.forward_batch(batch.layout_stacks)

@@ -123,38 +123,20 @@ class EndpointGNN(Module):
         self._sample = None
 
     # ------------------------------------------------------------------
-    def forward(self, sample: SampleLike,
-                training: bool = True) -> np.ndarray:
-        """Propagate through all levels; returns the (n, hidden) embeddings.
+    def forward(self, sample: SampleLike) -> np.ndarray:
+        """Training forward: all levels; returns the (n, hidden) embeddings.
 
         *sample* may be a single design or a :class:`PackedBatch`; a pack
         runs the identical per-level arithmetic on the union graph, so
         the result rows equal the per-design rows up to fp round-off.
-
-        ``training=False`` skips everything that exists only for
-        :meth:`backward` — argmax winner routing, ReLU masks, the cache
-        push — with bit-identical output (``max`` equals the argmax
-        gather; ``maximum(pre, 0)`` equals ``pre * (pre > 0)`` for the
-        finite values that reach it).
+        Records the argmax winners and ReLU masks :meth:`backward`
+        unwinds.  Inference runs :meth:`forward_stream` instead.
         """
-        h = self.hidden
         n = sample.n_nodes
-        inference = not training
         # Sentinel row at index -1 carries -inf so padded predecessor slots
-        # never win the max.  Inference borrows the propagation buffer
-        # from the active workspace arena, and runs in fp32 when a
-        # reduced-precision tier is set — both leave the default fp64
-        # values bit-identical (same ops, pooled destinations).  Gathers
-        # stay allocating on purpose: ``np.take`` without ``out=`` is
-        # ~2x faster than take-into-a-buffer (numpy routes the out=
-        # variant through a buffered copy path).
+        # never win the max.
         cell_order, net_order, level0 = plan_orders(sample)
-        if inference:
-            dt = np.float64 if self.precision == "fp64" else np.float32
-            big = ws_empty((n + 1, h), dt)
-            big.fill(-np.inf)
-        else:
-            big = np.full((n + 1, h), -np.inf)
+        big = np.full((n + 1, self.hidden), -np.inf)
         big[sample.source_nodes] = self.source_emb.data
         # Unreachable isolated nodes would poison downstream levels; give
         # every level-0 node the source embedding.
@@ -177,73 +159,57 @@ class EndpointGNN(Module):
             entry: dict = {}
             mc = len(plan.cell_nodes)
             if mc:
-                if training:
-                    gathered = big[plan.cell_preds]      # (m, K, h)
-                    arg = gathered.argmax(axis=1)        # (m, h)
-                    maxv = np.take_along_axis(gathered, arg[:, None, :],
-                                              axis=1)[:, 0]
-                else:
-                    # np.take treats the -1 padding exactly like fancy
-                    # indexing: it selects the last (sentinel) row.
-                    gathered = np.take(big, plan.cell_preds, axis=0)
-                    maxv = gathered.max(axis=1,
-                                        out=ws_empty((mc, h), big.dtype))
-                if training:
-                    pre = self.f_c1.forward(maxv) + feat_c[c_off:c_off + mc]
-                    if self.residual:
-                        pre = pre + maxv
-                    mask = pre > 0
-                    big[plan.cell_nodes] = pre * mask
-                    entry["cell_mask"] = mask
-                    entry["cell_winner"] = np.take_along_axis(
-                        plan.cell_preds, arg, axis=1)    # (m, h) node ids
-                else:
-                    pre = self.f_c1.forward(maxv)
-                    pre += feat_c[c_off:c_off + mc]
-                    if self.residual:
-                        pre += maxv
-                    big[plan.cell_nodes] = np.maximum(pre, 0.0, out=pre)
+                gathered = big[plan.cell_preds]          # (m, K, h)
+                arg = gathered.argmax(axis=1)            # (m, h)
+                maxv = np.take_along_axis(gathered, arg[:, None, :],
+                                          axis=1)[:, 0]
+                pre = self.f_c1.forward(maxv) + feat_c[c_off:c_off + mc]
+                if self.residual:
+                    pre = pre + maxv
+                mask = pre > 0
+                big[plan.cell_nodes] = pre * mask
+                entry["cell_mask"] = mask
+                entry["cell_winner"] = np.take_along_axis(
+                    plan.cell_preds, arg, axis=1)        # (m, h) node ids
                 c_off += mc
             mn = len(plan.net_nodes)
             if mn:
-                if training:
-                    pre = big[plan.net_drivers] + feat_n[n_off:n_off + mn]
-                    mask = pre > 0
-                    big[plan.net_nodes] = pre * mask
-                    entry["net_mask"] = mask
-                else:
-                    pre = np.take(big, plan.net_drivers, axis=0)
-                    pre += feat_n[n_off:n_off + mn]
-                    big[plan.net_nodes] = np.maximum(pre, 0.0, out=pre)
+                pre = big[plan.net_drivers] + feat_n[n_off:n_off + mn]
+                mask = pre > 0
+                big[plan.net_nodes] = pre * mask
+                entry["net_mask"] = mask
                 n_off += mn
             caches.append(entry)
-        if training:
-            self._cache.append(caches)
-            self._sample = sample
+        self._cache.append(caches)
+        self._sample = sample
         return big[:n]
 
     # ------------------------------------------------------------------
     def forward_stream(self, sample: SampleLike,
                        stream: StreamPlan) -> np.ndarray:
-        """Inference forward streamed chunk-by-chunk; endpoint rows only.
+        """The inference forward, streamed chunk-by-chunk; endpoint rows only.
 
-        Executes the level schedule in :class:`StreamPlan` chunk order,
-        holding one chunk-local propagation buffer at a time and carrying
+        Whole-graph inference is the one-chunk plan
+        (``build_stream_plan(sample, None)``).  Executes the level
+        schedule in :class:`StreamPlan` chunk order, holding one
+        chunk-local propagation buffer at a time and carrying
         only frontier activations between chunks — never the ``(n+1, h)``
         whole-graph buffer.  Chunks are whole-level-aligned, so every
         per-level op sees the identical row sets as :meth:`forward`; the
         hoisted ``f_c2``/``f_n`` feature branches re-run the same
         absolute ``FEAT_TILE`` tiles of the level-ordered block (see
         :func:`_feat_rows` for why same-rows is not enough).  Result
-        equals
-        ``forward(sample, training=False)[sample.endpoint_nodes]`` bit
-        for bit, without ever materializing the ``(n, h)`` table.
+        equals ``forward(sample)[sample.endpoint_nodes]`` at any chunk
+        size (ReLU here is ``maximum(pre, 0)``, so a zero is ``+0.0``
+        where the training ``pre * mask`` may give ``-0.0``), without
+        ever materializing the ``(n, h)`` table.
 
         Per-chunk buffers come from the plan's dedicated byte-capped
         workspace (entered anew each chunk, so cursors rewind and chunk
         *k+1* reuses chunk *k*'s arena); only the endpoint output and the
         frontier live store are plain allocations that survive the arena
-        rewind.
+        rewind.  The slabs are per plan, so one thread runs a given plan
+        at a time.
         """
         require(not self._cache, "forward_stream is inference-only")
         h = self.hidden
@@ -289,7 +255,7 @@ class EndpointGNN(Module):
                 with workspace(None):
                     # Chunk rows are a contiguous [base, base+len) slice
                     # of the global level-ordered block; _feat_rows
-                    # re-runs the same absolute tiles the monolithic
+                    # re-runs the same absolute tiles the training
                     # forward runs, so the rows match it bit for bit.
                     feat_c = _feat_rows(self.f_c2, sample.x_cell,
                                         cell_order_all, c_base,

@@ -191,11 +191,10 @@ def node_features(netlist: Netlist, placement: Placement,
     ``x_cell[i]`` is nonzero only for CELL_OUT nodes, ``x_net[i]`` only for
     NET_SINK nodes; the GNN consumes each where appropriate (Eq. (3)).
 
-    With *partition* set (pins int or :class:`~repro.timing.partition
-    .PartitionConfig`), rows are produced chunk-by-chunk via
-    :func:`chunk_feature_block` and scattered into the full arrays —
-    bit-identical to the monolithic pass (features are per-node), but the
-    working set per step is one chunk's rows.
+    With *partition* set (a chunk size in pins), rows are produced
+    chunk-by-chunk via :func:`chunk_feature_block` and scattered into the
+    full arrays — bit-identical to the monolithic pass (features are
+    per-node), but the working set per step is one chunk's rows.
     """
     n = graph.n_nodes
     x_cell = np.zeros((n, CELL_FEATURE_DIM))

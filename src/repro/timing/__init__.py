@@ -20,11 +20,9 @@ from repro.timing.corners import (
 from repro.timing.incremental import IncrementalSTA
 from repro.timing.partition import (
     GraphChunk,
-    PartitionConfig,
     StreamPlan,
     build_stream_plan,
     partition_graph,
-    pins_for_budget,
     stream_plan_for,
 )
 from repro.timing.nldm import BatchNLDM, batch_nldm_for
@@ -60,11 +58,9 @@ __all__ = [
     "resolve_corner",
     "IncrementalSTA",
     "GraphChunk",
-    "PartitionConfig",
     "StreamPlan",
     "build_stream_plan",
     "partition_graph",
-    "pins_for_budget",
     "stream_plan_for",
     "BatchNLDM",
     "batch_nldm_for",

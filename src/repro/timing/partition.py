@@ -1,17 +1,18 @@
 """Order-preserving, level-respecting partition of the timing graph.
 
-The monolithic execution path materializes whole-graph arrays — an
-``(n+1, hidden)`` propagation buffer plus level-ordered feature blocks —
-which caps design size well below the paper's 20k–1.3M pins.  This module
-splits the level schedule into **chunks**: consecutive runs of whole
-topological levels whose combined pin count fits a budget.  Because a
-chunk boundary never splits a level, executing chunks in ascending order
-replays the exact per-level arithmetic of the unpartitioned path, so
-results are **fp64 bit-identical**.  (BLAS results depend on the row
+Whole-graph execution materializes an ``(n+1, hidden)`` propagation
+buffer plus level-ordered feature blocks, which caps design size well
+below the paper's 20k–1.3M pins.  This module splits the level schedule
+into **chunks**: consecutive runs of whole topological levels whose
+combined pin count fits a budget.  Because a chunk boundary never splits
+a level, executing chunks in ascending order replays the exact per-level
+arithmetic of the whole-graph schedule, so results are **fp64
+bit-identical** at any chunk size.  (BLAS results depend on the row
 count it blocks over, so "same rows" alone is not enough for the hoisted
-feature branches — both paths run them in fixed absolute tiles, see
+feature branches — every forward runs them in fixed absolute tiles, see
 ``repro.core.gnn.FEAT_TILE``; the invariant is enforced by the
-differential test battery.)
+differential test battery.)  GNN inference always runs a
+:class:`StreamPlan`: without a budget the whole graph is one chunk.
 
 Terminology:
 
@@ -26,12 +27,6 @@ Terminology:
   still referenced by a later chunk are carried forward, as a dense
   id-sorted block.  Everything else is dropped, which is what bounds
   peak memory.
-
-Memory-budget model (see :class:`PartitionConfig`): a streaming chunk
-holds roughly one ``(rows, hidden)`` fp64 propagation buffer plus ~10
-chunk-row-sized MLP intermediates, i.e. about ``96 * hidden`` bytes per
-resident pin.  ``pins_for_budget`` inverts that to pick a chunk size from
-a megabyte budget.
 
 Import discipline: this module sits in ``repro.timing`` but must serve
 ``repro.ml`` (featurization) and ``repro.core`` (the GNN), so at import
@@ -50,69 +45,27 @@ from repro.utils import require
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Approximate streaming working-set bytes per resident pin, per hidden
-#: unit: one fp64 buffer row (8) plus ~11 row-sized MLP/aggregation
-#: intermediates alive at once inside a chunk.
-STREAM_BYTES_PER_PIN_PER_HIDDEN = 96
-
-
-def pins_for_budget(memory_budget_mb: float, hidden: int = 64) -> int:
-    """Chunk size (pins) whose streaming working set fits *memory_budget_mb*."""
-    require(memory_budget_mb > 0, "memory_budget_mb must be positive")
-    require(hidden > 0, "hidden must be positive")
-    pins = int(memory_budget_mb * 2 ** 20
-               // (STREAM_BYTES_PER_PIN_PER_HIDDEN * hidden))
-    return max(pins, 256)
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    """How to pick chunk sizes.
-
-    Exactly one of ``partition_pins`` (explicit chunk size) or
-    ``memory_budget_mb`` (derived via the bytes-per-pin model above) is
-    needed; both unset means partitioning is disabled.
-    """
-
-    partition_pins: Optional[int] = None
-    memory_budget_mb: Optional[float] = None
-    hidden: int = 64
-
-    def __post_init__(self) -> None:
-        if self.partition_pins is not None:
-            require(self.partition_pins > 0, "partition_pins must be positive")
-        if self.memory_budget_mb is not None:
-            require(self.memory_budget_mb > 0,
-                    "memory_budget_mb must be positive")
-        require(self.hidden > 0, "hidden must be positive")
-
-    def resolve(self) -> Optional[int]:
-        """The effective chunk size in pins, or ``None`` when disabled."""
-        if self.partition_pins is not None:
-            return int(self.partition_pins)
-        if self.memory_budget_mb is not None:
-            return pins_for_budget(self.memory_budget_mb, self.hidden)
-        return None
-
 
 def resolve_pins(partition: Any) -> Optional[int]:
-    """Normalize an int / :class:`PartitionConfig` / ``None`` knob to pins."""
+    """Normalize an int / ``None`` chunk-size knob to pins."""
     if partition is None:
         return None
-    if isinstance(partition, PartitionConfig):
-        return partition.resolve()
     pins = int(partition)
     require(pins > 0, "partition_pins must be positive")
     return pins
 
 
-def _greedy_ranges(sizes: Sequence[int], pins: int) -> List[Tuple[int, int]]:
+def _greedy_ranges(sizes: Sequence[int],
+                   pins: Optional[int]) -> List[Tuple[int, int]]:
     """Split a level-size sequence into contiguous ranges of ≲ *pins* nodes.
 
     Whole levels only: a level larger than the budget becomes its own
     chunk (correctness never depends on the budget being achievable).
+    ``pins=None`` is no budget: one range covering every level.
     Deterministic: a pure function of the sizes and the budget.
     """
+    if pins is None:
+        return [(0, len(sizes))] if len(sizes) else []
     ranges: List[Tuple[int, int]] = []
     start, acc = 0, 0
     for i, size in enumerate(sizes):
@@ -222,7 +175,7 @@ class ChunkExec:
 class StreamPlan:
     """Deterministic chunk schedule for one sample (or packed batch)."""
 
-    partition_pins: int
+    partition_pins: Optional[int]  # None: the whole graph is one chunk
     chunks: List[ChunkExec]
     max_rows: int                  # widest chunk buffer
     max_live: int                  # widest frontier carried between chunks
@@ -255,13 +208,12 @@ def build_stream_plan(sample: Any, partition: Any) -> StreamPlan:
     (``n_nodes``, ``level``, ``plans``, ``endpoint_nodes``) — a
     ``DesignSample`` or a ``PackedBatch``.  Plan *i* covers topological
     level ``i + 1``; chunks are contiguous plan ranges, so the per-level
-    row sets (and hence the arithmetic) match the monolithic path
-    exactly.
+    row sets (and hence the arithmetic) match the whole-graph schedule
+    exactly.  ``partition=None`` compiles the whole graph as one chunk.
     """
     from repro.ml.sample import LevelPlan
 
     pins = resolve_pins(partition)
-    require(pins is not None, "build_stream_plan needs an enabled partition")
     plans = sample.plans
     level = np.asarray(sample.level)
     n = sample.n_nodes
@@ -386,26 +338,20 @@ def build_stream_plan(sample: Any, partition: Any) -> StreamPlan:
                       max_rows=max_rows, max_live=max_live)
 
 
-def stream_plan_for(sample: Any) -> Optional[StreamPlan]:
+def stream_plan_for(sample: Any) -> StreamPlan:
     """The memoized :class:`StreamPlan` for a sample-shaped object.
 
-    Returns ``None`` when the object carries no ``partition_pins`` (the
-    monolithic path).  Plans are cached in the object's ``_stream_cache``
-    dict, which packed batches share with their plan-cache topology
-    entry, so repeated packs of the same designs reuse one plan.
+    Chunks hold ≲ ``partition_pins`` pins; an object without that hint
+    gets the one-chunk plan.  Plans are cached in the object's
+    ``_stream_cache`` dict, which packed batches share with their
+    plan-cache topology entry, so repeated packs of the same designs
+    reuse one plan.
     """
     pins = getattr(sample, "partition_pins", None)
-    if not pins:
-        return None
     cache = getattr(sample, "_stream_cache", None)
     if cache is None:
-        cache = {}
-        try:
-            sample._stream_cache = cache
-        except AttributeError:   # slotted/frozen object: build uncached
-            return build_stream_plan(sample, pins)
+        cache = sample._stream_cache = {}
     plan = cache.get(pins)
     if plan is None:
-        plan = build_stream_plan(sample, pins)
-        cache[pins] = plan
+        plan = cache[pins] = build_stream_plan(sample, pins)
     return plan

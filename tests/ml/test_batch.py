@@ -143,7 +143,8 @@ def test_packing_order_invariance(tiny_samples, rng):
 
 
 def test_inference_forward_matches_training_forward(tiny_samples, rng):
-    """The training=False fast path must be bit-identical, not just close."""
+    """The streamed inference forward (training=False) must equal the
+    training forward bit for bit, not just closely."""
     model = _small_model()
     _jitter(model, rng)
     batch = PackedBatch.pack(tiny_samples)

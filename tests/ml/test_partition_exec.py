@@ -1,9 +1,10 @@
 """Differential battery: partitioned execution is fp64 bit-identical.
 
-Every preset is built small and run through both paths — monolithic
-whole-graph arrays vs. chunk-streamed featurization and GNN forward —
-and the outputs are compared *bitwise* (``np.array_equal`` on fp64, no
-tolerances).  The serve-level test proves the same through a live
+Every preset is built small and run through both schedules — whole-graph
+featurization and the training GNN forward vs. chunk-streamed
+featurization and the streamed inference forward (many chunks and one
+chunk) — and the outputs are compared *bitwise* (``np.array_equal`` on
+fp64, no tolerances).  The serve-level test proves the same through a live
 session, and the subprocess test pins the ``large``-preset peak-RSS
 ceiling the whole tentpole exists for.
 """
@@ -20,13 +21,14 @@ from repro.core import ModelConfig, TimingPredictor, TrainerConfig
 from repro.core.gnn import EndpointGNN
 from repro.flow import FlowConfig, run_flow
 from repro.ml import build_level_plans, node_features
+from repro.ml.batch import PackedBatch
 from repro.ml.features import CELL_FEATURE_DIM, NET_FEATURE_DIM
 from repro.netlist import DESIGN_PRESETS
 from repro.netlist.generator import generate_netlist
 from repro.nn import inference_mode
 from repro.placement import PlacerConfig, build_die, place
 from repro.serve import DesignSession, Edit
-from repro.timing import PartitionConfig, build_stream_plan, build_timing_graph
+from repro.timing import build_stream_plan, build_timing_graph, stream_plan_for
 
 PINS = 64          # small enough that every preset splits into many chunks
 HIDDEN = 24
@@ -57,8 +59,7 @@ def _gnn_sample(graph, x_cell, x_net):
 def test_chunked_features_bit_identical(built):
     nl, placement, graph = built
     ref_cell, ref_net = node_features(nl, placement, graph)
-    for partition in (PINS, PartitionConfig(memory_budget_mb=0.5),
-                      10**9):
+    for partition in (PINS, 256, 10**9):
         x_cell, x_net = node_features(nl, placement, graph,
                                       partition=partition)
         assert np.array_equal(x_cell, ref_cell)
@@ -66,7 +67,7 @@ def test_chunked_features_bit_identical(built):
 
 
 # ----------------------------------------------------------------------
-# GNN forward: streamed == monolithic, bit for bit, on every preset.
+# GNN forward: streamed == training forward, bit for bit, on every preset.
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("residual", [False, True])
@@ -76,14 +77,17 @@ def test_forward_stream_bit_identical(built, residual):
     sample = _gnn_sample(graph, x_cell, x_net)
     gnn = EndpointGNN(HIDDEN, CELL_FEATURE_DIM, NET_FEATURE_DIM,
                       np.random.default_rng(0), residual=residual)
-    with inference_mode():
-        ref = gnn.forward(sample, training=False)[sample.endpoint_nodes]
-        for pins in (PINS, 10**9):       # many chunks / one chunk
-            plan = build_stream_plan(sample, pins)
-            got = gnn.forward_stream(sample, plan)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, ref), \
-                f"stream diverged at pins={pins} (residual={residual})"
+    ref = gnn.forward(sample)[sample.endpoint_nodes]
+    gnn.drain_caches()
+    # Values, not bytes: the training ReLU ``pre * mask`` gives -0.0
+    # where the streamed ``maximum(pre, 0)`` gives +0.0.
+    for pins in (PINS, None):            # many chunks / one chunk
+        sample.partition_pins = pins
+        with inference_mode():
+            got = gnn.forward_stream(sample, stream_plan_for(sample))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref), \
+            f"stream diverged at pins={pins} (residual={residual})"
 
 
 def test_stream_plan_and_forward_are_deterministic(built):
@@ -120,6 +124,54 @@ def exec_predictor(tiny_sample):
         trainer_config=TrainerConfig(epochs=2))
     predictor.fit([tiny_sample])
     return predictor
+
+
+def _fresh(sample, pins):
+    """A shallow copy with its own (empty) stream-plan memo."""
+    clone = copy.copy(sample)
+    clone.__dict__.pop("_stream_cache", None)
+    clone.partition_pins = pins
+    return clone
+
+
+# ----------------------------------------------------------------------
+# One inference path: no partition hint means the one-chunk stream.
+# ----------------------------------------------------------------------
+
+def test_unpartitioned_sample_gets_a_memoized_one_chunk_plan(tiny_sample):
+    sample = _fresh(tiny_sample, None)
+    plan = stream_plan_for(sample)
+    assert plan.partition_pins is None
+    assert len(plan.chunks) == 1
+    (chunk,) = plan.chunks
+    assert chunk.n_halo == 0 and plan.max_live == 0
+    assert chunk.n_nodes == int((sample.level > 0).sum())
+    assert stream_plan_for(sample) is plan
+    assert stream_plan_for(PackedBatch.pack([sample])) is plan
+
+
+@pytest.mark.parametrize("pins", [None, PINS])
+def test_inference_never_runs_the_training_forward(exec_predictor,
+                                                   tiny_sample, monkeypatch,
+                                                   pins):
+    model = exec_predictor.model
+    calls = []
+    train_forward = EndpointGNN.forward
+
+    def spy(self, sample):
+        calls.append(sample)
+        return train_forward(self, sample)
+
+    monkeypatch.setattr(EndpointGNN, "forward", spy)
+    batch = PackedBatch.pack([_fresh(tiny_sample, pins)])
+    pred = model.forward_batch(batch, training=False)
+    model.drain_caches()
+    assert calls == []
+    # The spy does see the training forward, and the two agree.
+    ref = model.forward_batch(batch)
+    model.drain_caches()
+    assert len(calls) == 1
+    assert np.array_equal(pred, ref)
 
 
 def test_predictor_partition_hint_is_bit_identical(exec_predictor,

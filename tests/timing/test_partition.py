@@ -1,7 +1,7 @@
 """Partitioner invariants: coverage, halo discipline, determinism.
 
 The streaming execution battery (bit-identity of the partitioned GNN
-forward against the monolithic one) lives in
+forward against the whole-graph training forward) lives in
 ``tests/ml/test_partition_exec.py``; this file pins down the graph-level
 partitioner itself.
 """
@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import generate_preset
-from repro.timing import (
-    PartitionConfig,
-    build_timing_graph,
-    partition_graph,
-    pins_for_budget,
-)
+from repro.timing import build_timing_graph, partition_graph
 from repro.timing.partition import _greedy_ranges, resolve_pins
 
 
@@ -28,40 +23,11 @@ def graph():
 # Config / knob resolution.
 # ----------------------------------------------------------------------
 
-def test_partition_config_resolution():
-    assert PartitionConfig().resolve() is None
-    assert PartitionConfig(partition_pins=500).resolve() == 500
-    # Explicit pins win over a budget.
-    assert PartitionConfig(partition_pins=500,
-                           memory_budget_mb=1.0).resolve() == 500
-    derived = PartitionConfig(memory_budget_mb=64, hidden=64).resolve()
-    assert derived == pins_for_budget(64, hidden=64)
-
-
-def test_partition_config_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PartitionConfig(partition_pins=0)
-    with pytest.raises(ValueError):
-        PartitionConfig(memory_budget_mb=-1.0)
-    with pytest.raises(ValueError):
-        PartitionConfig(hidden=0)
-
-
 def test_resolve_pins_accepts_all_knob_forms():
     assert resolve_pins(None) is None
     assert resolve_pins(1234) == 1234
-    assert resolve_pins(PartitionConfig(partition_pins=77)) == 77
-    assert resolve_pins(PartitionConfig()) is None
     with pytest.raises(ValueError):
         resolve_pins(-3)
-
-
-def test_pins_for_budget_monotone_and_floored():
-    small = pins_for_budget(0.001, hidden=64)
-    assert small == 256                      # floor: never degenerate chunks
-    assert pins_for_budget(64, hidden=64) > pins_for_budget(8, hidden=64)
-    # Wider hidden -> more bytes per pin -> fewer pins per MB.
-    assert pins_for_budget(64, hidden=256) < pins_for_budget(64, hidden=64)
 
 
 def test_greedy_ranges_respect_budget_and_cover():
@@ -152,16 +118,6 @@ def test_partition_is_deterministic(graph):
         assert np.array_equal(ca.halo, cb.halo)
 
 
-def test_memory_budget_config_matches_explicit_pins(graph):
-    cfg = PartitionConfig(memory_budget_mb=2.0, hidden=64)
-    via_cfg = partition_graph(graph, cfg)
-    via_pins = partition_graph(graph, cfg.resolve())
-    assert [c.level_stop for c in via_cfg] == \
-           [c.level_stop for c in via_pins]
-
-
 def test_disabled_partition_is_rejected(graph):
     with pytest.raises(ValueError, match="enabled partition"):
         partition_graph(graph, None)
-    with pytest.raises(ValueError, match="enabled partition"):
-        partition_graph(graph, PartitionConfig())
