@@ -455,8 +455,7 @@ def cmd_serve(args) -> int:
             print(f"error: flow failed for {details}", file=sys.stderr)
             return 1
         designs = {d: pre for d, (pre, _, _) in zip(args.designs, built)}
-        inputs = {d: sample
-                  for d, (_, sample, _) in zip(args.designs, built)}
+        inputs = {d: inp for d, (_, inp, _) in zip(args.designs, built)}
         # The bootstrap samples are the only labels the boot held.
         train = [s for _, _, samples in built for s in samples or ()]
         del built

@@ -45,6 +45,7 @@ from repro.flow.flow import (  # noqa: F401
 from repro.flow.stages import StagedFlow
 from repro.flow.store import StageStore
 from repro.netlist import DESIGN_PRESETS, DesignSpec
+from repro.timing import TimingGraph
 from repro.utils import get_logger, require
 
 logger = get_logger("flow.scenario")
@@ -294,7 +295,7 @@ def run_scenario_flow(design: Union[str, DesignSpec],
 def run_pre_route(design: Union[str, DesignSpec],
                   config: Optional[FlowConfig] = None,
                   scenario: Union[ScenarioSpec, str, None] = None,
-                  ) -> PreRouteDesign:
+                  ) -> Tuple[PreRouteDesign, TimingGraph]:
     """The label-free inputs of one design at one scenario (the serve
     entry point).
 
@@ -303,14 +304,21 @@ def run_pre_route(design: Union[str, DesignSpec],
     (:meth:`StagedFlow.pre_route`).  An ECO scenario still runs the
     full chain: round *r*'s input is round *r − 1*'s optimized, routed
     implementation.
+
+    Returns ``(design, graph)``, as :meth:`StagedFlow.pre_route` does:
+    the :class:`PreRouteDesign` and the timing graph the flow's
+    pre-route STA built on its input netlist — the one graph a served
+    design needs (see DESIGN.md, "Boot").
     """
     config = config or FlowConfig()
     spec, scenario = _resolve(design, config, scenario)
     if scenario.eco_rounds:
-        return run_scenarios(spec, config, [scenario])[0].pre_route()
-    pre = StagedFlow(scenario.apply(spec), config).pre_route()
-    pre.scenario = scenario.scenario_id
-    return pre
+        flow = run_scenarios(spec, config, [scenario])[0]
+        pre, graph = flow.pre_route(), flow.pre_route_sta.graph
+    else:
+        pre, graph = StagedFlow(scenario.apply(spec), config).pre_route()
+        pre.scenario = scenario.scenario_id
+    return pre, graph
 
 
 def _resolve(design: Union[str, DesignSpec], config: FlowConfig,

@@ -492,14 +492,18 @@ class StagedFlow:
         Generate, place, and the unconstrained STA the clock period is
         derived from — nothing else.  The constrained pre-route STA,
         opt, route and sign-off feed only labels, so a served design
-        skips them.  The result equals ``run().pre_route()`` byte for
-        byte (pinned by ``tests/flow/test_pre_route.py``).
+        skips them.  Returns ``(design, graph)``: the design equals
+        ``run().pre_route()`` byte for byte (pinned by
+        ``tests/flow/test_pre_route.py``), and *graph* is the input
+        netlist's timing graph the STA ran on, for featurization and
+        serving to reuse.
         """
         from repro.flow.flow import PreRouteDesign
 
         gen = self.generate()
         placed = self.place(gen)
-        unconstrained = self.unconstrained(gen, placed)
+        graph = build_timing_graph(gen.netlist)
+        unconstrained = self.unconstrained(gen, placed, graph=graph)
         return PreRouteDesign(
             spec=self.spec,
             clock_period=self.spec.clock_frac * unconstrained.max_arrival,
@@ -507,7 +511,7 @@ class StagedFlow:
             input_placement=placed.placement,
             input_maps=placed.input_maps,
             corner_names=self.config.corner_set().names,
-        )
+        ), graph
 
     def run(self):
         """Execute every stage in order; assemble a ``FlowResult``.

@@ -6,10 +6,12 @@ from repro.ml.batch import (
     PackedBatch,
 )
 from repro.ml.dataset import (
+    DesignInputs,
     boot_designs,
     build_corner_samples,
     build_dataset,
     build_dataset_report,
+    build_design_inputs,
     build_inputs,
     build_level_plans,
     build_sample,
@@ -39,10 +41,12 @@ __all__ = [
     "DEFAULT_ENDPOINT_BATCH",
     "EndpointBatchSampler",
     "PackedBatch",
+    "DesignInputs",
     "boot_designs",
     "build_corner_samples",
     "build_dataset",
     "build_dataset_report",
+    "build_design_inputs",
     "build_inputs",
     "build_level_plans",
     "build_sample",

@@ -8,13 +8,14 @@ generation are timed into ``sample.preprocess_time``.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.flow
-from repro.core.masking import build_endpoint_masks
+from repro.core.masking import build_endpoint_paths, rasterize_endpoint_masks
 from repro.flow import (
     FlowConfig,
     FlowResult,
@@ -27,7 +28,7 @@ from repro.ml.parallel import run_design_tasks
 from repro.ml.sample import DesignSample, LevelPlan
 from repro.netlist import DESIGN_PRESETS
 from repro.obs import get_metrics, get_tracer
-from repro.timing import CELL_OUT, NET_SINK, build_timing_graph
+from repro.timing import CELL_OUT, NET_SINK, TimingGraph, build_timing_graph
 from repro.utils import atomic_pickle_dump, get_logger, load_pickle_or_none
 
 logger = get_logger("ml.dataset")
@@ -68,6 +69,23 @@ def build_level_plans(graph) -> List[LevelPlan]:
     return plans
 
 
+@dataclass
+class DesignInputs:
+    """A label-free sample with the structure it was derived from.
+
+    *graph* is the input netlist's timing graph and *paths* the
+    endpoints' critical-path net edges (:func:`build_endpoint_paths`).
+    A serving session keeps both — its incremental featurizer and
+    incremental STA share the graph, and an edit re-rasterizes the
+    cached paths — so a boot builds each once per design.  They stay
+    out of the sample, whose pickles are the dataset cache format.
+    """
+
+    sample: DesignSample
+    graph: TimingGraph
+    paths: List[List[Tuple[int, int]]]
+
+
 def build_inputs(design: Union[FlowResult, PreRouteDesign],
                  map_bins: int = 64, seed: int = 0,
                  partition_pins: Optional[int] = None) -> DesignSample:
@@ -86,26 +104,42 @@ def build_inputs(design: Union[FlowResult, PreRouteDesign],
     the sample so downstream inference streams too.  Outputs are
     bit-identical with or without it.
     """
-    return _build_inputs(design, map_bins, seed, partition_pins)[0]
+    return build_design_inputs(design, map_bins, seed,
+                               partition_pins).sample
 
 
-def _build_inputs(design, map_bins: int, seed: int,
-                  partition_pins: Optional[int]):
-    """:func:`build_inputs` plus the timing graph it was built from."""
+def build_design_inputs(design: Union[FlowResult, PreRouteDesign],
+                        map_bins: int = 64, seed: int = 0,
+                        partition_pins: Optional[int] = None,
+                        graph: Optional[TimingGraph] = None
+                        ) -> DesignInputs:
+    """:func:`build_inputs` with the graph and paths it was built from.
+
+    *graph* is the input netlist's timing graph when the caller already
+    has it (the second half of :func:`repro.flow.run_pre_route`'s
+    result); without it, a :class:`~repro.flow.FlowResult` lends its
+    pre-route STA graph, built on the same netlist, and only a bare
+    :class:`~repro.flow.PreRouteDesign` builds one here.
+    """
     corner_names = design.corner_names
     corner = "base" if "base" in corner_names else corner_names[0]
     nl = design.input_netlist
     placement = design.input_placement
 
     # --- Timed preprocessing (the "pre" column of Table III): graph
-    # construction, levelization, features, critical-region masks.
+    # construction (unless the flow's STA already built it),
+    # levelization, features, critical-region masks.
     sp = get_tracer().span("model.pre", stage="pre", design=design.name)
     with sp:
-        graph = build_timing_graph(nl)
+        if graph is None:
+            sta = getattr(design, "pre_route_sta", None)
+            graph = (sta.graph if sta is not None
+                     else build_timing_graph(nl))
         plans = build_level_plans(graph)
         x_cell, x_net = node_features(nl, placement, graph,
                                       partition=partition_pins)
-        masks = build_endpoint_masks(nl, placement, graph, map_bins, seed)
+        paths = build_endpoint_paths(nl.name, graph, seed)
+        masks = rasterize_endpoint_masks(nl, placement, paths, map_bins)
 
     endpoint_pins = np.array([int(graph.pin_ids[v]) for v in graph.endpoints])
     sample = DesignSample(
@@ -135,7 +169,7 @@ def _build_inputs(design, map_bins: int, seed: int,
         scenario=design.scenario,
         partition_pins=partition_pins,
     )
-    return sample, graph
+    return DesignInputs(sample=sample, graph=graph, paths=paths)
 
 
 def build_sample(flow: FlowResult, map_bins: int = 64,
@@ -155,7 +189,8 @@ def build_sample(flow: FlowResult, map_bins: int = 64,
     at every corner and learns the corner effect through its embedding
     (see DESIGN.md, "Multi-corner timing").
     """
-    sample, graph = _build_inputs(flow, map_bins, seed, partition_pins)
+    inputs = build_design_inputs(flow, map_bins, seed, partition_pins)
+    sample, graph = inputs.sample, inputs.graph
     if corner is not None:
         sample.corner = corner
         sample.corner_index = flow.corner_names.index(corner)
@@ -502,21 +537,23 @@ def _boot_design(design: str, flow_config: FlowConfig,
     Only a model-less bootstrap (*train_bins* set) needs labels, so only
     it runs the full flow, which never leaves this task; a boot with a
     model runs just the pre-route stages
-    (:func:`repro.flow.run_pre_route`).
+    (:func:`repro.flow.run_pre_route`).  The inputs reuse the timing
+    graph of the flow's pre-route STA.
     """
     # Looked up through the module at call time, so a patched
     # ``repro.flow`` entry point runs here and in forked workers.
     if train_bins is None:
         flow = None
-        pre = repro.flow.run_pre_route(design, flow_config,
-                                       scenario=scenario)
+        pre, graph = repro.flow.run_pre_route(design, flow_config,
+                                              scenario=scenario)
     else:
         flow = repro.flow.run_scenario_flow(design, flow_config,
                                             scenario=scenario)
-        pre = flow.pre_route()
+        pre, graph = flow.pre_route(), flow.pre_route_sta.graph
     inputs = (None if map_bins is None else
-              build_inputs(pre, map_bins=map_bins, seed=seed,
-                           partition_pins=partition_pins))
+              build_design_inputs(pre, map_bins=map_bins, seed=seed,
+                                  partition_pins=partition_pins,
+                                  graph=graph))
     train = (None if flow is None else
              build_corner_samples(flow, map_bins=train_bins, seed=seed,
                                   partition_pins=partition_pins))
@@ -535,8 +572,10 @@ def boot_designs(designs: List[str], flow_config: FlowConfig,
     ``(results, report)``; *results* is aligned with *designs* and holds
     ``(pre_route, inputs, train)`` per design, or ``None`` for a design
     whose build failed.  *pre_route* is the design's
-    :class:`~repro.flow.PreRouteDesign`; *inputs* is its label-free
-    :func:`build_inputs` sample, ``None`` unless *map_bins* is given;
+    :class:`~repro.flow.PreRouteDesign`; *inputs* is its
+    :class:`DesignInputs` (the label-free sample with the timing graph
+    and critical paths a session reuses), ``None`` unless *map_bins* is
+    given;
     *train* is the labeled :func:`build_corner_samples` list a
     model-less server bootstraps on, ``None`` unless *train_bins* is
     given.  Sign-off data reaches the caller only through *train*.  The

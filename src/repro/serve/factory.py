@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 import repro.flow
 from repro.core.predictor import TimingPredictor
 from repro.flow import FlowConfig, FlowResult, PreRouteDesign, ScenarioSpec
-from repro.ml.sample import DesignSample
+from repro.ml.dataset import DesignInputs, build_design_inputs
 from repro.serve.session import DesignSession, Edit
 from repro.utils import require
 
@@ -87,7 +87,7 @@ class SessionFactory:
         self.scenario = scenario
 
     def open(self, design: Union[str, PreRouteDesign, FlowResult],
-             sample: Optional[DesignSample] = None,
+             sample: Optional[DesignInputs] = None,
              seed: Optional[int] = None,
              replay: Optional[List[List[Dict[str, Any]]]] = None
              ) -> DesignSession:
@@ -97,24 +97,31 @@ class SessionFactory:
         :class:`FlowResult` (adopted — the session owns and mutates its
         pre-routing inputs), or a preset design name (only the flow's
         pre-route stages run here, through
-        :func:`~repro.flow.run_pre_route`).  *replay* is a list of
-        committed edit batches (wire dicts) applied before the session
-        is returned, restoring its revision counter — the fleet's
-        crash-recovery journal path.
+        :func:`~repro.flow.run_pre_route`, and the session's inputs
+        reuse the graph their STA built).  *sample* is the design's
+        pre-built model input, if any (see :class:`DesignSession`).
+        *replay* is a list of committed edit batches (wire dicts)
+        applied before the session is returned, restoring its revision
+        counter — the fleet's crash-recovery journal path.
         """
         seed = self.default_seed if seed is None else seed
-        if isinstance(design, str):
-            # Looked up through the module at call time, so a patched
-            # ``repro.flow`` entry point runs here and in forked workers.
-            design = repro.flow.run_pre_route(
-                design, self.flow_config or FlowConfig(base_seed=seed),
-                scenario=self.scenario)
         if self.batcher is not None:
             predictor = self.batcher.predictor
             infer = self.batcher.submit
         else:
             predictor = self.acquire()
             infer = None
+        if isinstance(design, str):
+            # Looked up through the module at call time, so a patched
+            # ``repro.flow`` entry point runs here and in forked workers.
+            design, graph = repro.flow.run_pre_route(
+                design, self.flow_config or FlowConfig(base_seed=seed),
+                scenario=self.scenario)
+            if sample is None:
+                sample = build_design_inputs(
+                    design, map_bins=predictor.model_config.map_bins,
+                    seed=seed, partition_pins=self.partition_pins,
+                    graph=graph)
         session = DesignSession(design, predictor, seed=seed, sample=sample,
                                 infer=infer, corners=self.corners,
                                 partition_pins=self.partition_pins)

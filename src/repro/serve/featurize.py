@@ -13,6 +13,7 @@ of the model's inputs:
 refreshes only it, mutating the sample's arrays in place.  Every refresh
 routes through the *same* helpers the full featurization uses
 (:func:`repro.ml.features.cell_feature_row` /
+:func:`repro.core.masking.paint_path_boxes` /
 :func:`repro.placement.density.recompute_density_region` / ...), in the
 same accumulation order, so an incrementally maintained sample is
 **bit-for-bit identical** to one rebuilt from scratch — the invariant the
@@ -25,7 +26,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.masking import rasterize_region
+from repro.core.masking import paint_path_boxes
 from repro.ml.features import cell_feature_row, net_feature_row
 from repro.netlist import Netlist
 from repro.obs import get_metrics
@@ -217,10 +218,11 @@ class IncrementalFeaturizer:
             assert g.kind[node] == NET_SINK
             self.x_net[node] = net_feature_row(nl, pl,
                                                int(g.pin_ids[node]))
-        for k in self._dirty_endpoints:
-            self.masks[k] = rasterize_region(
-                nl, pl, self.paths[k], self.mask_side, self.mask_side
-            ).ravel()
+        if self._dirty_endpoints:
+            rows = sorted(self._dirty_endpoints)
+            self.masks[rows] = paint_path_boxes(
+                nl, pl, [self.paths[k] for k in rows],
+                self.mask_side, self.mask_side)
         for r0, r1, c0, c1 in self._dirty_density.rects:
             recompute_density_region(nl, pl, self.density, r0, r1, c0, c1)
         for r0, r1, c0, c1 in self._dirty_rudy.rects:

@@ -32,15 +32,14 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from repro.core.masking import build_endpoint_paths
 from repro.core.predictor import TimingPredictor
 from repro.flow import FlowConfig, FlowResult, PreRouteDesign
-from repro.ml.dataset import build_inputs
+from repro.ml.dataset import DesignInputs, build_design_inputs
 from repro.ml.plancache import PLAN_CACHE
 from repro.ml.sample import DesignSample
 from repro.obs import get_metrics, get_tracer
 from repro.serve.featurize import IncrementalFeaturizer
-from repro.timing import IncrementalSTA, build_timing_graph
+from repro.timing import IncrementalSTA
 from repro.utils import get_logger, require
 
 logger = get_logger("serve.session")
@@ -119,6 +118,13 @@ class DesignSession:
         Multi-corner sessions additionally call it with a **list** of
         corner-view samples and expect a list of arrays back (the
         batcher flattens them into one packed forward).
+    sample:
+        The design's model inputs if already built from *flow* at the
+        predictor's resolution and *seed*: the boot's
+        :class:`~repro.ml.dataset.DesignInputs`.  ``None`` builds them
+        here.  The session's featurizer and incremental STA share the
+        inputs' timing graph and critical paths, so a session adds no
+        graph build and no path walk of its own.
     corners:
         Sign-off corner names this session answers for (must be a subset
         of the predictor's ``corner_names``).  ``None`` serves every
@@ -129,7 +135,7 @@ class DesignSession:
     def __init__(self, flow: Union[PreRouteDesign, FlowResult],
                  predictor: TimingPredictor,
                  seed: int = 0,
-                 sample: Optional[DesignSample] = None,
+                 sample: Optional[DesignInputs] = None,
                  infer: Optional[Callable[[DesignSample], np.ndarray]]
                  = None,
                  corners: Optional[Sequence[str]] = None,
@@ -185,12 +191,13 @@ class DesignSession:
 
         map_bins = predictor.model_config.map_bins
         with get_tracer().span("serve.session.open", design=self.name):
-            self.sample = sample if sample is not None else build_inputs(
+            inputs = sample if sample is not None else build_design_inputs(
                 flow, map_bins=map_bins, seed=seed,
                 partition_pins=partition_pins)
+            self.sample = inputs.sample
             if (partition_pins is not None
                     and self.sample.partition_pins is None):
-                # Pre-built (e.g. cached) sample: stamp the execution
+                # Pre-built sample without the knob: stamp the execution
                 # knob so session inference streams chunk-by-chunk.
                 # What-if edits stay finer-grained than chunks — the
                 # incremental featurizer refreshes touched rows in place
@@ -207,16 +214,16 @@ class DesignSession:
                     self.corners[0], self._corner_idx[0]):
                 self.sample = self.sample.corner_view(
                     self.corners[0], self._corner_idx[0])
-            self.graph = build_timing_graph(self.netlist)
-            paths = build_endpoint_paths(self.netlist.name, self.graph,
-                                         seed)
+            # Edits move and resize cells, never rewire them, so the
+            # graph stays valid for the session's lifetime.
+            self.graph = inputs.graph
             self.featurizer = IncrementalFeaturizer(
                 self.netlist, self.placement, self.graph,
                 x_cell=self.sample.x_cell, x_net=self.sample.x_net,
-                masks=self.sample.masks, paths=paths,
+                masks=self.sample.masks, paths=inputs.paths,
                 layout_stack=self.sample.layout_stack, map_bins=map_bins)
             self.sta = IncrementalSTA(self.netlist, self.placement,
-                                      self.clock_period)
+                                      self.clock_period, graph=self.graph)
         get_metrics().counter("serve.sessions_opened").inc()
         logger.info("session %s: %d endpoints, %d cells", self.name,
                     self.sample.n_endpoints, len(self.netlist.cells))

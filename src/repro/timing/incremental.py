@@ -10,7 +10,9 @@ bit-identical to a fresh :func:`repro.timing.sta.run_sta` (verified in the
 test suite).
 
 Structural edits (buffering, decomposition, cloning) change the node set
-and require :meth:`IncrementalSTA.rebuild`.
+and require :meth:`IncrementalSTA.rebuild`, which builds a new graph.
+Sizing and moves never touch the graph, so a caller that already holds
+the netlist's graph (a serving session) passes it in and shares it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class IncrementalSTA:
 
     def __init__(self, netlist: Netlist, placement: Placement,
                  clock_period: float,
-                 wires: Optional[WireLengthProvider] = None) -> None:
+                 wires: Optional[WireLengthProvider] = None,
+                 graph: Optional[TimingGraph] = None) -> None:
         self.netlist = netlist
         self.placement = placement
         self.clock_period = clock_period
@@ -51,13 +54,16 @@ class IncrementalSTA:
         self.partial_updates = 0
         self.full_rebuilds = 0
         self._dirty: Set[int] = set()
+        #: The netlist's timing graph: *graph* when given (read only
+        #: here), else built.  Only :meth:`rebuild` replaces it.
+        self.graph: TimingGraph = (graph if graph is not None
+                                   else build_timing_graph(netlist))
         self._build()
 
     # ------------------------------------------------------------------
     # Construction / static state
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        self.graph: TimingGraph = build_timing_graph(self.netlist)
         g = self.graph
         nl = self.netlist
         self._nldm = batch_nldm_for(nl.library)
@@ -168,10 +174,12 @@ class IncrementalSTA:
                 self._dirty.add(sink_node)
 
     def rebuild(self) -> STAResult:
-        """Full rebuild (required after structural netlist edits)."""
+        """Full rebuild on a new graph (required after structural
+        netlist edits)."""
         self._dirty.clear()
         self.full_rebuilds += 1
         with get_tracer().span("sta.rebuild", design=self.netlist.name):
+            self.graph = build_timing_graph(self.netlist)
             self._build()
         get_metrics().counter("sta.incremental.full_rebuilds").inc()
         return self.result

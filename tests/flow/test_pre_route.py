@@ -50,7 +50,7 @@ def _traced_pre_route(design, config, scenario):
     tracer.enable()
     before = get_metrics().snapshot()
     try:
-        pre = run_pre_route(design, config, scenario=scenario)
+        pre, _ = run_pre_route(design, config, scenario=scenario)
         spans = {e["name"] for e in tracer.events()
                  if e.get("type") == "span"}
     finally:

@@ -219,13 +219,12 @@ def test_serve_session_carries_scenario(fitted_predictor):
     session.close()
 
 
-def test_default_serve_wire_shape_unchanged(fitted_predictor, tiny_sample):
+def test_default_serve_wire_shape_unchanged(fitted_predictor):
     from repro.flow import run_flow
     from repro.serve import DesignSession
 
     # Sessions mutate their flow, so never wrap the shared tiny_flow.
-    session = DesignSession(run_flow("xgate", _CFG), fitted_predictor,
-                            sample=tiny_sample)
+    session = DesignSession(run_flow("xgate", _CFG), fitted_predictor)
     wire = session.describe()
     assert "scenario" not in wire       # byte-stable default shape
     session.close()

@@ -47,6 +47,20 @@ def served_predictor(tiny_sample) -> TimingPredictor:
     return predictor
 
 
+@pytest.fixture(scope="package")
+def three_corner_predictor() -> TimingPredictor:
+    """A small fitted predictor serving base, slow and fast."""
+    from repro.ml import build_corner_samples
+
+    corners = ("base", "slow", "fast")
+    flow = run_flow("xgate", FlowConfig(scale=0.25, corners=corners))
+    predictor = TimingPredictor(
+        model_config=ModelConfig(map_bins=MAP_BINS, corner_names=corners),
+        trainer_config=TrainerConfig(epochs=1))
+    predictor.fit(build_corner_samples(flow, map_bins=MAP_BINS))
+    return predictor
+
+
 @pytest.fixture
 def fresh_flow():
     """A flow result a session may own (and mutate) exclusively."""

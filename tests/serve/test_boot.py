@@ -3,7 +3,8 @@
 :func:`repro.ml.dataset.boot_designs` runs each design's flow through
 the shared engine in :mod:`repro.ml.parallel` and keeps its
 :class:`~repro.flow.PreRouteDesign` (and, for in-process serving, its
-label-free inputs).  Under test:
+label-free inputs with the timing graph and critical paths they were
+built from).  Under test:
 
 * a pooled boot's pre-route designs and inputs equal the serial
   in-process boot's;
@@ -123,8 +124,14 @@ def test_pooled_boot_equals_serial(serial_boot):
         assert nl_a.cells == nl_b.cells
         assert (pre_a.input_placement.cell_xy
                 == pre_b.input_placement.cell_xy)
-        assert inputs_a.y is None and inputs_a.pre_route_arrival is None
-        _assert_same(inputs_a, inputs_b, name)
+        sample_a = inputs_a.sample
+        assert sample_a.y is None and sample_a.pre_route_arrival is None
+        _assert_same(sample_a, inputs_b.sample, name)
+        assert inputs_a.paths == inputs_b.paths
+        np.testing.assert_array_equal(inputs_a.graph.level,
+                                      inputs_b.graph.level)
+        # The pooled graph arrives on the netlist it was built from.
+        assert inputs_b.graph.netlist is nl_b
         assert train_a is None and train_b is None
 
 
