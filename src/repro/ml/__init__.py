@@ -23,10 +23,7 @@ from repro.ml.features import (
     CELL_FEATURE_DIM,
     NET_FEATURE_DIM,
     FeatureShapeError,
-    cell_feature_row,
     chunk_feature_block,
-    net_feature_row,
-    net_output_load,
     node_features,
     validate_node_features,
 )
@@ -56,10 +53,7 @@ __all__ = [
     "CELL_FEATURE_DIM",
     "NET_FEATURE_DIM",
     "FeatureShapeError",
-    "cell_feature_row",
     "chunk_feature_block",
-    "net_feature_row",
-    "net_output_load",
     "node_features",
     "validate_node_features",
     "BuildReport",

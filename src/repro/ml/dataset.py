@@ -7,6 +7,7 @@ generation are timed into ``sample.preprocess_time``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,12 @@ from repro.ml.sample import DesignSample, LevelPlan
 from repro.netlist import DESIGN_PRESETS
 from repro.obs import get_metrics, get_tracer
 from repro.timing import CELL_OUT, NET_SINK, TimingGraph, build_timing_graph
-from repro.utils import atomic_pickle_dump, get_logger, load_pickle_or_none
+from repro.utils import (
+    atomic_pickle_dump,
+    get_logger,
+    load_pickle_or_none,
+    require,
+)
 
 logger = get_logger("ml.dataset")
 
@@ -41,11 +47,11 @@ def build_level_plans(graph) -> List[LevelPlan]:
     """Per-level execution plans (padded predecessor matrices) for the GNN."""
     # Group cell edges by destination so we can pad per level.
     preds_of: Dict[int, List[int]] = {}
-    for s, d in zip(graph.cell_edge_src, graph.cell_edge_dst):
-        preds_of.setdefault(int(d), []).append(int(s))
-    edge_of_sink = {}
-    for s, d in zip(graph.net_edge_src, graph.net_edge_dst):
-        edge_of_sink[int(d)] = int(s)
+    for s, d in zip(graph.cell_edge_src.tolist(),
+                    graph.cell_edge_dst.tolist()):
+        preds_of.setdefault(d, []).append(s)
+    edge_of_sink = dict(zip(graph.net_edge_dst.tolist(),
+                            graph.net_edge_src.tolist()))
 
     width_hist = get_metrics().histogram("gnn.level_width")
     plans: List[LevelPlan] = []
@@ -53,14 +59,14 @@ def build_level_plans(graph) -> List[LevelPlan]:
         nodes = graph.levels[lvl]
         width_hist.observe(len(nodes))
         net_nodes = nodes[graph.kind[nodes] == NET_SINK]
-        net_drivers = np.array([edge_of_sink[int(v)] for v in net_nodes],
+        net_drivers = np.array([edge_of_sink[v] for v in net_nodes.tolist()],
                                dtype=np.int64)
         cell_nodes = nodes[graph.kind[nodes] == CELL_OUT]
         if len(cell_nodes):
-            k = max(len(preds_of[int(v)]) for v in cell_nodes)
+            preds = [preds_of[v] for v in cell_nodes.tolist()]
+            k = max(len(ps) for ps in preds)
             cell_preds = np.full((len(cell_nodes), k), -1, dtype=np.int64)
-            for r, v in enumerate(cell_nodes):
-                ps = preds_of[int(v)]
+            for r, ps in enumerate(preds):
                 cell_preds[r, :len(ps)] = ps
         else:
             cell_preds = np.zeros((0, 1), dtype=np.int64)
@@ -189,7 +195,19 @@ def build_sample(flow: FlowResult, map_bins: int = 64,
     at every corner and learns the corner effect through its embedding
     (see DESIGN.md, "Multi-corner timing").
     """
-    inputs = build_design_inputs(flow, map_bins, seed, partition_pins)
+    return label_sample(
+        flow, build_design_inputs(flow, map_bins, seed, partition_pins),
+        corner)
+
+
+def label_sample(flow: FlowResult, inputs: DesignInputs,
+                 corner: Optional[str] = None) -> DesignSample:
+    """The label step of :func:`build_sample`: labels ``inputs.sample``
+    in place and returns it.
+
+    *inputs* must be built from *flow*'s input design on its pre-route
+    STA graph, as :func:`build_design_inputs` builds them.
+    """
     sample, graph = inputs.sample, inputs.graph
     if corner is not None:
         sample.corner = corner
@@ -235,9 +253,16 @@ def build_corner_samples(flow: FlowResult, map_bins: int = 64,
     :meth:`~repro.ml.sample.DesignSample.corner_view` copies that share
     every array and differ only in corner identity and labels.
     """
+    return _corner_samples(flow, build_sample(
+        flow, map_bins=map_bins, seed=seed, corner=flow.corner_names[0],
+        partition_pins=partition_pins))
+
+
+def _corner_samples(flow: FlowResult,
+                    first: DesignSample) -> List[DesignSample]:
+    """*first*, labeled at *flow*'s first corner, then a view per other
+    corner."""
     names = flow.corner_names
-    first = build_sample(flow, map_bins=map_bins, seed=seed,
-                         corner=names[0], partition_pins=partition_pins)
     out = [first]
     for idx, cname in enumerate(names[1:], start=1):
         labels = flow.endpoint_labels(cname)
@@ -538,7 +563,9 @@ def _boot_design(design: str, flow_config: FlowConfig,
     it runs the full flow, which never leaves this task; a boot with a
     model runs just the pre-route stages
     (:func:`repro.flow.run_pre_route`).  The inputs reuse the timing
-    graph of the flow's pre-route STA.
+    graph of the flow's pre-route STA.  With both bin counts set they
+    must be equal: the labeled samples are then a labeled copy of the
+    inputs, so a boot walks each design's critical paths once.
     """
     # Looked up through the module at call time, so a patched
     # ``repro.flow`` entry point runs here and in forked workers.
@@ -554,10 +581,28 @@ def _boot_design(design: str, flow_config: FlowConfig,
               build_design_inputs(pre, map_bins=map_bins, seed=seed,
                                   partition_pins=partition_pins,
                                   graph=graph))
-    train = (None if flow is None else
-             build_corner_samples(flow, map_bins=train_bins, seed=seed,
-                                  partition_pins=partition_pins))
+    if flow is None:
+        train = None
+    elif inputs is None:
+        train = build_corner_samples(flow, map_bins=train_bins, seed=seed,
+                                     partition_pins=partition_pins)
+    else:
+        require(train_bins == map_bins,
+                f"train_bins {train_bins} != map_bins {map_bins}")
+        train = _corner_samples(flow, label_sample(
+            flow, _copy_inputs(inputs), corner=flow.corner_names[0]))
     return (pre, inputs, train), "built"
+
+
+def _copy_inputs(inputs: DesignInputs) -> DesignInputs:
+    """*inputs* with the sample's arrays that an edit writes in place
+    (features, masks, layout maps) copied, so labeling and training on
+    the copy leave the serving sample as it is."""
+    sample = copy.copy(inputs.sample)
+    for name in ("x_cell", "x_net", "masks", "layout_stack"):
+        setattr(sample, name, getattr(sample, name).copy())
+    return DesignInputs(sample=sample, graph=inputs.graph,
+                        paths=inputs.paths)
 
 
 def boot_designs(designs: List[str], flow_config: FlowConfig,

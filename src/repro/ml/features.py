@@ -19,7 +19,7 @@ consistent).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,70 +41,6 @@ DELAY_SCALE = 50.0
 NET_FEATURE_DIM = 3
 #: x_cell: [drive, input cap, fanout, est. load, est. drive delay, one-hot]
 CELL_FEATURE_DIM = 5 + len(GATE_KINDS)
-
-
-def net_output_load(netlist: Netlist, placement: Placement,
-                    nid: int) -> float:
-    """Estimated capacitive load of one net (sink pin caps + star wire cap).
-
-    Shared between the full feature pass below and the incremental
-    re-featurization in :mod:`repro.serve` — both must accumulate the sink
-    terms in net order so recomputed values are bit-identical.
-    """
-    lib = netlist.library
-    wire = lib.wire
-    net = netlist.nets[nid]
-    xd, yd = placement.pin_position(netlist, net.driver)
-    load = 0.0
-    for sp in net.sinks:
-        spin = netlist.pins[sp]
-        if spin.cell is not None:
-            load += lib.cell(netlist.cells[spin.cell].type_name).input_cap
-        else:
-            load += 2.0  # output pad
-        xs, ys = placement.pin_position(netlist, sp)
-        load += wire.capacitance(abs(xd - xs) + abs(yd - ys))
-    return load
-
-
-def cell_feature_row(netlist: Netlist, placement: Placement,
-                     pid: int) -> np.ndarray:
-    """The x_cell row of one CELL_OUT pin (drive, caps, load, one-hot)."""
-    lib = netlist.library
-    pin = netlist.pins[pid]
-    ctype = lib.cell(netlist.cells[pin.cell].type_name)
-    load = (net_output_load(netlist, placement, pin.net)
-            if pin.net is not None else 0.0)
-    row = np.zeros(CELL_FEATURE_DIM)
-    row[0] = ctype.drive / DRIVE_SCALE
-    row[1] = ctype.input_cap / PIN_CAP_SCALE
-    row[2] = (len(netlist.nets[pin.net].sinks) / FANOUT_SCALE
-              if pin.net is not None else 0.0)
-    row[3] = load / LOAD_SCALE
-    row[4] = ctype.drive_resistance * load / DELAY_SCALE
-    row[5 + lib.kind_index(ctype.kind.name)] = 1.0
-    return row
-
-
-def net_feature_row(netlist: Netlist, placement: Placement,
-                    pid: int) -> np.ndarray:
-    """The x_net row of one NET_SINK pin (distance, wire delay, sink cap)."""
-    lib = netlist.library
-    wire = lib.wire
-    pin = netlist.pins[pid]
-    net = netlist.nets[pin.net]
-    xd, yd = placement.pin_position(netlist, net.driver)
-    xs, ys = placement.pin_position(netlist, pid)
-    dist = abs(xd - xs) + abs(yd - ys)
-    sink_cap = (lib.cell(netlist.cells[pin.cell].type_name).input_cap
-                if pin.cell is not None else 2.0)
-    wire_delay = wire.resistance(dist) * (
-        0.5 * wire.capacitance(dist) + sink_cap)
-    row = np.zeros(NET_FEATURE_DIM)
-    row[0] = dist / DISTANCE_SCALE
-    row[1] = wire_delay / DELAY_SCALE
-    row[2] = sink_cap / PIN_CAP_SCALE
-    return row
 
 
 class FeatureShapeError(ValueError):
@@ -150,31 +86,109 @@ def validate_node_features(x_cell: np.ndarray, x_net: np.ndarray,
     _check_block(x_net, n_nodes, NET_FEATURE_DIM, "x_net", design, chunk)
 
 
-def chunk_feature_block(
+def feature_rows(
         netlist: Netlist, placement: Placement, graph: TimingGraph,
-        nodes: np.ndarray, chunk: Optional[int] = None,
+        nodes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Feature rows for one chunk's node set.
+    """Feature rows of a node set, computed as arrays.
 
     Returns ``(cell_rows, cell_nodes, net_rows, net_nodes)`` where
     ``cell_rows[i]`` is the x_cell row of node ``cell_nodes[i]`` (ditto
-    net).  Rows are computed by the exact same per-pin functions as the
-    whole-graph pass — features are per-node, so scattering the blocks
-    into full-size arrays reproduces :func:`node_features` bit for bit.
-    Each block is validated before it is returned.
+    net); nodes of other kinds are dropped.  A row depends only on its
+    own node, so the rows of any node set (a chunk, or the dirty rows of
+    an incremental refresh) equal the whole graph's bit for bit.  A
+    net's load adds its sinks' terms in sink order, pin cap then wire
+    cap.
     """
+    lib = netlist.library
+    wire = lib.wire
+    pins, nets, cells = netlist.pins, netlist.nets, netlist.cells
     nodes = np.asarray(nodes, dtype=np.int64)
     kinds = graph.kind[nodes]
     cell_nodes = nodes[kinds == CELL_OUT]
     net_nodes = nodes[kinds == NET_SINK]
-    cell_rows = np.zeros((len(cell_nodes), CELL_FEATURE_DIM))
-    for j, i in enumerate(cell_nodes):
-        cell_rows[j] = cell_feature_row(netlist, placement,
-                                        int(graph.pin_ids[i]))
-    net_rows = np.zeros((len(net_nodes), NET_FEATURE_DIM))
-    for j, i in enumerate(net_nodes):
-        net_rows[j] = net_feature_row(netlist, placement,
-                                      int(graph.pin_ids[i]))
+
+    def sink_caps(sinks: List[int]) -> np.ndarray:
+        """Input cap of each sink pin, 2.0 for an output pad."""
+        return np.fromiter(
+            (2.0 if (cid := pins[p].cell) is None
+             else lib.cell(cells[cid].type_name).input_cap for p in sinks),
+            dtype=float, count=len(sinks))
+
+    def distances(drivers: List[int], sinks: List[int]) -> np.ndarray:
+        d = placement.pin_positions(netlist, drivers)
+        s = placement.pin_positions(netlist, sinks)
+        return np.abs(d[:, 0] - s[:, 0]) + np.abs(d[:, 1] - s[:, 1])
+
+    # --- x_net: one row per net sink.
+    sinks = graph.pin_ids[net_nodes].tolist()
+    dist = distances([nets[pins[p].net].driver for p in sinks], sinks)
+    cap = sink_caps(sinks)
+    wire_delay = wire.resistance(dist) * (0.5 * wire.capacitance(dist) + cap)
+    net_rows = np.empty((len(net_nodes), NET_FEATURE_DIM))
+    net_rows[:, 0] = dist / DISTANCE_SCALE
+    net_rows[:, 1] = wire_delay / DELAY_SCALE
+    net_rows[:, 2] = cap / PIN_CAP_SCALE
+
+    # --- x_cell: one row per combinational output.  ``terms`` lists
+    # every (row, driver, sink) of the rows' nets, sinks in net order;
+    # ``rank`` is the sink's position in its net.
+    n_cell = len(cell_nodes)
+    types: List[Tuple[float, float, float, int]] = []
+    fanout = np.zeros(n_cell)
+    term_row: List[int] = []
+    term_drv: List[int] = []
+    term_sink: List[int] = []
+    rank: List[int] = []
+    for j, pid in enumerate(graph.pin_ids[cell_nodes].tolist()):
+        pin = pins[pid]
+        ctype = lib.cell(cells[pin.cell].type_name)
+        types.append((ctype.drive, ctype.input_cap, ctype.drive_resistance,
+                      lib.kind_index(ctype.kind.name)))
+        if pin.net is None:
+            continue
+        net = nets[pin.net]
+        fanout[j] = len(net.sinks)
+        term_row.extend([j] * len(net.sinks))
+        term_drv.extend([net.driver] * len(net.sinks))
+        term_sink.extend(net.sinks)
+        rank.extend(range(len(net.sinks)))
+    term_cap = sink_caps(term_sink)
+    term_wire = wire.capacitance(distances(term_drv, term_sink))
+    load = np.zeros(n_cell)
+    # Step r adds every net's r-th sink: a row sees its terms in order.
+    by_rank = np.argsort(np.asarray(rank, dtype=np.int64), kind="stable")
+    bounds = np.cumsum(np.bincount(np.asarray(rank, dtype=np.int64)))
+    rows_of = np.asarray(term_row, dtype=np.int64)[by_rank]
+    caps_of, wires_of = term_cap[by_rank], term_wire[by_rank]
+    lo = 0
+    for hi in bounds.tolist():
+        r = rows_of[lo:hi]
+        load[r] = (load[r] + caps_of[lo:hi]) + wires_of[lo:hi]
+        lo = hi
+    attrs = np.array(types, dtype=float).reshape(n_cell, 4)
+    cell_rows = np.zeros((n_cell, CELL_FEATURE_DIM))
+    cell_rows[:, 0] = attrs[:, 0] / DRIVE_SCALE
+    cell_rows[:, 1] = attrs[:, 1] / PIN_CAP_SCALE
+    cell_rows[:, 2] = fanout / FANOUT_SCALE
+    cell_rows[:, 3] = load / LOAD_SCALE
+    cell_rows[:, 4] = attrs[:, 2] * load / DELAY_SCALE
+    cell_rows[np.arange(n_cell), 5 + attrs[:, 3].astype(np.int64)] = 1.0
+    return cell_rows, cell_nodes, net_rows, net_nodes
+
+
+def chunk_feature_block(
+        netlist: Netlist, placement: Placement, graph: TimingGraph,
+        nodes: np.ndarray, chunk: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Feature rows for one chunk's node set, validated.
+
+    Returns :func:`feature_rows` of *nodes*.  Features are per-node, so
+    scattering the blocks into full-size arrays reproduces
+    :func:`node_features` bit for bit.
+    """
+    cell_rows, cell_nodes, net_rows, net_nodes = feature_rows(
+        netlist, placement, graph, nodes)
     design = netlist.name
     _check_block(cell_rows, len(cell_nodes), CELL_FEATURE_DIM, "x_cell block",
                  design, chunk)
@@ -201,16 +215,13 @@ def node_features(netlist: Netlist, placement: Placement,
     x_net = np.zeros((n, NET_FEATURE_DIM))
     pins = resolve_pins(partition)
     if pins is None:
-        for i, pid in enumerate(graph.pin_ids):
-            if graph.kind[i] == CELL_OUT:
-                x_cell[i] = cell_feature_row(netlist, placement, int(pid))
-            elif graph.kind[i] == NET_SINK:
-                x_net[i] = net_feature_row(netlist, placement, int(pid))
+        blocks = [feature_rows(netlist, placement, graph, np.arange(n))]
     else:
-        for chunk in partition_graph(graph, pins):
-            cell_rows, cell_nodes, net_rows, net_nodes = chunk_feature_block(
-                netlist, placement, graph, chunk.nodes, chunk=chunk.index)
-            x_cell[cell_nodes] = cell_rows
-            x_net[net_nodes] = net_rows
+        blocks = (chunk_feature_block(netlist, placement, graph, chunk.nodes,
+                                      chunk=chunk.index)
+                  for chunk in partition_graph(graph, pins))
+    for cell_rows, cell_nodes, net_rows, net_nodes in blocks:
+        x_cell[cell_nodes] = cell_rows
+        x_net[net_nodes] = net_rows
     validate_node_features(x_cell, x_net, n, design=netlist.name)
     return x_cell, x_net

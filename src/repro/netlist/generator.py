@@ -15,12 +15,14 @@ Generation is fully deterministic given the design name and base seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netlist.netlist import IN, OUT, Netlist
+from repro.obs import get_tracer
 from repro.utils import require, spawn_rng
 
 #: Gate-kind sampling weights.  ``default`` approximates a mapped control /
@@ -178,12 +180,25 @@ class _IndexedPool:
 
     def sample(self, rng: np.random.Generator) -> int:
         """Remove and return a uniformly random item."""
-        item = self._items[int(rng.integers(len(self._items)))]
+        item = self._items[rng.integers(len(self._items))]
         self.discard(item)
         return item
 
     def items(self) -> List[int]:
         return list(self._items)
+
+
+def _cdf(weights: Sequence[float]) -> List[float]:
+    """The normalized cumulative weights ``Generator.choice(p=...)`` draws on.
+
+    ``choice`` with *p* takes one ``random()`` per draw and returns
+    ``searchsorted(cdf, u, side="right")`` on exactly this ``cdf``, so
+    ``bisect_right(cdf, rng.random())`` makes the same choice from the
+    same stream.
+    """
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
@@ -196,17 +211,36 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
     sensitizable paths while keeping the overall depth bounded.  Register
     D pins and primary outputs tap drivers across the upper levels, so
     endpoint fan-in cone depths vary widely (the paper reports 2..400+).
+
+    Records one ``netlist.generate`` span (design, cells, pins).
     """
+    with get_tracer().span("netlist.generate", design=spec.name) as sp:
+        nl = _generate(spec, base_seed)
+        sp.set(cells=len(nl.cells), pins=len(nl.pins))
+    return nl
+
+
+def _generate(spec: DesignSpec, base_seed: int) -> Netlist:
     rng = spawn_rng(f"netlist/{spec.name}", base_seed)
+    # Weighted draws are ``bisect_right(cdf, random())`` (see _cdf); lists
+    # are indexed with the drawn numpy integer as it is, since converting
+    # it with int() would cost as much as the draw.
+    random = rng.random
+    integers = rng.integers
     nl = Netlist(spec.name)
-    mix_names = list(GATE_MIXES[spec.gate_mix])
-    mix_probs = np.array([GATE_MIXES[spec.gate_mix][k] for k in mix_names])
-    mix_probs = mix_probs / mix_probs.sum()
+    mix = GATE_MIXES[spec.gate_mix]
+    mix_names = list(mix)
+    mix_probs = np.array([mix[k] for k in mix_names])
+    mix_cdf = _cdf(mix_probs / mix_probs.sum())
     drives = list(DRIVE_WEIGHTS)
     drive_probs = np.array([DRIVE_WEIGHTS[d] for d in drives])
-    drive_probs = drive_probs / drive_probs.sum()
+    drive_cdf = _cdf(drive_probs / drive_probs.sum())
+    reg_drives = (1, 2, 4)
+    reg_cdf = _cdf([0.4, 0.4, 0.2])
 
     n_mod = max(1, spec.n_modules)
+    intra_prob = spec.intra_module_prob
+    prev_bias = spec.prev_level_bias
 
     # Sources: primary inputs and register Q outputs, all at level 0, each
     # assigned to a module (round-robin for ports, uniform for registers).
@@ -223,10 +257,10 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
     reg_cells = []
     reg_module: List[int] = []
     for i in range(spec.n_regs):
-        drive = int(rng.choice([1, 2, 4], p=[0.4, 0.4, 0.2]))
+        drive = reg_drives[bisect_right(reg_cdf, random())]
         reg = nl.add_cell(f"DFF_X{drive}", name=f"reg_{i}")
         reg_cells.append(reg)
-        mod = int(rng.integers(n_mod))
+        mod = int(integers(n_mod))
         reg_module.append(mod)
         source_by_mod[mod].append(reg.output_pin)
         all_sources.append(reg.output_pin)
@@ -237,62 +271,68 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
     depth = max(2, spec.max_depth)
     profile = 1.0 - 0.6 * np.arange(1, depth + 1) / depth
     profile = profile / profile.sum()
-    counts = np.maximum(1, rng.multinomial(spec.n_gates, profile))
+    counts = np.maximum(1, rng.multinomial(spec.n_gates, profile)).tolist()
 
     # drivers[mod][level] -> output pins of that module at that level;
     # drivers_all[level] -> all output pins at that level.
     drivers: List[List[List[int]]] = [
         [list(source_by_mod[m])] for m in range(n_mod)]
     drivers_all: List[List[int]] = [list(all_sources)]
+    # Dangling outputs: every one is in ``unused`` and in its module's
+    # pool; ``unused_module`` maps it to that module.
     unused_by_mod: List[_IndexedPool] = [_IndexedPool() for _ in range(n_mod)]
     unused = _IndexedPool()
+    unused_module: Dict[int, int] = {}
 
     def _discard_unused(pid: int) -> None:
-        unused.discard(pid)
-        for pool in unused_by_mod:
-            pool.discard(pid)
+        mod = unused_module.pop(pid, None)
+        if mod is not None:
+            unused.discard(pid)
+            unused_by_mod[mod].discard(pid)
 
     def _pool_at(module: int, lvl: int) -> List[int]:
         """Module pool at a level, falling back to the global pool."""
         pool = drivers[module][lvl]
-        if pool and rng.random() < spec.intra_module_prob:
+        if pool and random() < intra_prob:
             return pool
         return drivers_all[lvl] or pool
 
     def _pick_driver(level: int, module: int) -> int:
         """Choose a driver pin strictly below *level*, module-biased."""
         # Bias 1: reuse a dangling output (same module) so few wires dangle.
-        if len(unused_by_mod[module]) and rng.random() < 0.30:
-            pid = unused_by_mod[module].sample(rng)
-            unused.discard(pid)
+        dangling = unused_by_mod[module]
+        if len(dangling) and random() < 0.30:
+            pid = dangling.sample(rng)
+            _discard_unused(pid)
             return pid
         # Bias 2: the level right above (grows sensitizable depth).
-        if rng.random() < spec.prev_level_bias:
+        if random() < prev_bias:
             pool = _pool_at(module, level - 1)
             if pool:
-                return pool[int(rng.integers(len(pool)))]
+                return pool[integers(len(pool))]
         # Otherwise: geometric hop upward through shallower levels.
         lvl = level - 1
-        while lvl > 0 and rng.random() < 0.55:
+        while lvl > 0 and random() < 0.55:
             lvl -= 1
         pool = _pool_at(module, lvl)
         while not pool:  # only possible for empty intermediate levels
             lvl -= 1
             pool = _pool_at(module, lvl)
-        return pool[int(rng.integers(len(pool)))]
+        return pool[integers(len(pool))]
 
+    pins = nl.pins
     g = 0
     for level in range(1, depth + 1):
         for m in range(n_mod):
             drivers[m].append([])
-        drivers_all.append([])
+        level_all: List[int] = []
+        drivers_all.append(level_all)
         pending: List[tuple] = []  # (pin, module) join `unused` at level end
-        n_here = int(counts[level - 1])
-        modules_here = rng.integers(n_mod, size=n_here)
-        for k in range(n_here):
-            module = int(modules_here[k])
-            kind = str(rng.choice(mix_names, p=mix_probs))
-            drive = int(drives[int(rng.choice(len(drives), p=drive_probs))])
+        n_here = counts[level - 1]
+        modules_here = integers(n_mod, size=n_here).tolist()
+        for module in modules_here:
+            kind = mix_names[bisect_right(mix_cdf, random())]
+            drive = drives[bisect_right(drive_cdf, random())]
             inst = nl.add_cell(f"{kind}_X{drive}", name=f"g{g}")
             g += 1
             chosen: List[int] = []
@@ -304,14 +344,16 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
                     retries += 1
                 chosen.append(drv)
                 _discard_unused(drv)
-                nl.connect(nl.pins[drv].net, ip)
-            nl.create_net(inst.output_pin)
-            drivers[module][level].append(inst.output_pin)
-            drivers_all[level].append(inst.output_pin)
-            pending.append((inst.output_pin, module))
+                nl.connect(pins[drv].net, ip)
+            out = inst.output_pin
+            nl.create_net(out)
+            drivers[module][level].append(out)
+            level_all.append(out)
+            pending.append((out, module))
         for pid, mod in pending:
             unused.add(pid)
             unused_by_mod[mod].add(pid)
+            unused_module[pid] = mod
 
     # Wire register D inputs and primary outputs: tap drivers across the
     # upper two thirds of the levels so cone depths vary endpoint to
@@ -321,11 +363,11 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
 
     def _tap_output(module: Optional[int] = None) -> int:
         for _ in range(8):
-            lvl = tap_levels[int(rng.integers(len(tap_levels)))]
+            lvl = tap_levels[integers(len(tap_levels))]
             pool = (drivers[module][lvl] if module is not None else None) \
                 or drivers_all[lvl]
             if pool:
-                pid = pool[int(rng.integers(len(pool)))]
+                pid = pool[integers(len(pool))]
                 _discard_unused(pid)
                 return pid
         if len(unused):
@@ -335,16 +377,16 @@ def generate_netlist(spec: DesignSpec, base_seed: int = 0) -> Netlist:
         return drivers_all[-1][0]
 
     for reg, mod in zip(reg_cells, reg_module):
-        nl.connect(nl.pins[_tap_output(mod)].net, reg.input_pins[0])
+        nl.connect(pins[_tap_output(mod)].net, reg.input_pins[0])
     for i in range(spec.n_po):
         port = nl.add_port(f"po_{i}", OUT)
-        nl.connect(nl.pins[_tap_output()].net, port.pin)
+        nl.connect(pins[_tap_output()].net, port.pin)
 
     # Any still-dangling outputs become auxiliary primary outputs (a real
     # synthesis flow would have swept them; keeping them preserves the DAG).
     for k, pid in enumerate(sorted(unused.items())):
         port = nl.add_port(f"po_aux_{k}", OUT)
-        nl.connect(nl.pins[pid].net, port.pin)
+        nl.connect(pins[pid].net, port.pin)
 
     nl.check()
     return nl

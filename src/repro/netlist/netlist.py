@@ -274,21 +274,27 @@ class Netlist:
     # ------------------------------------------------------------------
     def check(self) -> None:
         """Verify structural invariants; raises ``ValueError`` on violation."""
+        # Messages are formatted only on failure: this visits every pin.
+        pins = self.pins
         for net in self.nets.values():
-            drv = self.pins[net.driver]
-            require(drv.direction == OUT, f"net {net.name} driven by IN pin")
-            require(drv.net == net.nid, f"net {net.name} driver back-ref broken")
+            drv = pins[net.driver]
+            if drv.direction != OUT:
+                raise ValueError(f"net {net.name} driven by IN pin")
+            if drv.net != net.nid:
+                raise ValueError(f"net {net.name} driver back-ref broken")
             for sp in net.sinks:
-                sink = self.pins[sp]
-                require(sink.direction == IN, f"net {net.name} sinks OUT pin")
-                require(sink.net == net.nid,
-                        f"net {net.name} sink back-ref broken")
+                sink = pins[sp]
+                if sink.direction != IN:
+                    raise ValueError(f"net {net.name} sinks OUT pin")
+                if sink.net != net.nid:
+                    raise ValueError(f"net {net.name} sink back-ref broken")
         for inst in self.cells.values():
             ctype = self.library.cell(inst.type_name)
-            require(len(inst.input_pins) == ctype.n_inputs,
-                    f"cell {inst.name} pin count mismatch")
+            if len(inst.input_pins) != ctype.n_inputs:
+                raise ValueError(f"cell {inst.name} pin count mismatch")
             for pid in inst.input_pins + [inst.output_pin]:
-                require(self.pins[pid].cell == inst.cid,
+                if pins[pid].cell != inst.cid:
+                    raise ValueError(
                         f"cell {inst.name} pin ownership broken")
 
     def __repr__(self) -> str:

@@ -7,6 +7,7 @@ location.  Runs in-place on a :class:`~repro.placement.placer.Placement`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Dict, List
 
@@ -30,6 +31,20 @@ __all__ = [
 ]
 
 SITE_WIDTH = 1.0
+
+
+def _nearest(starts: List[int], target: int) -> int:
+    """The start in ascending, non-empty *starts* nearest *target*.
+
+    Equal distances go to the lower start.
+    """
+    k = bisect_left(starts, target)
+    if k == len(starts):
+        return starts[-1]
+    if k == 0 or starts[k] == target:
+        return starts[k]
+    below, above = starts[k - 1], starts[k]
+    return below if target - below <= above - target else above
 
 
 class RowGrid:
@@ -98,6 +113,25 @@ class RowGrid:
             starts = by_width[width] = np.flatnonzero(window_sum == 0).tolist()
         return starts
 
+    def _starts_of_width(self, width: int) -> List[List[int]]:
+        """Every row's :meth:`_starts` for one *width* (at most
+        ``n_sites``), computed at once.
+
+        The cache is replaced by these lists, so each claim updates one
+        list instead of every width's.  They stay exact through claims
+        until the next call or a release; a caller therefore visits its
+        cells grouped by width and calls this once per group.  Keeping
+        the other widths measured 30% slower on ``_legalize``.
+        """
+        csum = np.zeros((self.n_rows, self.n_sites + 1), dtype=np.int64)
+        np.cumsum(self._occ, axis=1, out=csum[:, 1:])
+        rows, starts = np.nonzero(csum[:, width:] - csum[:, :-width] == 0)
+        bounds = np.searchsorted(rows, np.arange(self.n_rows + 1)).tolist()
+        flat = starts.tolist()
+        by_row = [flat[bounds[r]:bounds[r + 1]] for r in range(self.n_rows)]
+        self._free_starts = {r: {width: lst} for r, lst in enumerate(by_row)}
+        return by_row
+
     def free_run_near(self, row: int, col: int, width: int) -> int:
         """Leftmost site of the free run of *width* nearest *col*, or -1.
 
@@ -108,14 +142,8 @@ class RowGrid:
         starts = self._starts(row, width)
         if not starts:
             return -1
-        target = min(max(col - width // 2, 0), self.n_sites - width)
-        k = bisect_left(starts, target)
-        if k == len(starts):
-            return starts[-1]
-        if k == 0 or starts[k] == target:
-            return starts[k]
-        below, above = starts[k - 1], starts[k]
-        return below if target - below <= above - target else above
+        return _nearest(starts, min(max(col - width // 2, 0),
+                                    self.n_sites - width))
 
     def claim(self, row: int, start: int, width: int) -> None:
         require(not self._occ[row, start:start + width].any(),
@@ -178,44 +206,66 @@ def legalize(netlist: Netlist, placement: Placement) -> float:
 def _legalize(netlist: Netlist, placement: Placement) -> float:
     die = placement.die
     grid = RowGrid(die)
+    n_rows, n_sites = grid.n_rows, grid.n_sites
+    cell_xy = placement.cell_xy
+    by_type: Dict[str, int] = {}
+    width_of: Dict[int, int] = {}
+    for cid in cell_xy:
+        type_name = netlist.cells[cid].type_name
+        width = by_type.get(type_name)
+        if width is None:
+            width = by_type[type_name] = cell_site_width(netlist, cid)
+        width_of[cid] = width
     # Large cells first: they are hardest to fit.
     order: List[int] = sorted(
-        placement.cell_xy,
-        key=lambda cid: (-cell_site_width(netlist, cid),
-                         placement.cell_xy[cid][0]))
+        cell_xy, key=lambda cid: (-width_of[cid], cell_xy[cid][0]))
     total_disp = 0.0
+    width = -1
     for cid in order:
-        x, y = placement.cell_xy[cid]
-        width = cell_site_width(netlist, cid)
-        want_row = int(min(max(y / ROW_HEIGHT, 0), grid.n_rows - 1))
-        want_col = int(min(max(x / SITE_WIDTH, 0), grid.n_sites - 1))
-        best = None  # (cost, row, start)
-        for dr in range(grid.n_rows):
-            candidates = {want_row - dr, want_row + dr}
-            for row in candidates:
-                if not 0 <= row < grid.n_rows:
+        if width_of[cid] != width:
+            # The order groups cells by width, as _starts_of_width needs:
+            # each group searches one free-start list per row, and claims
+            # keep those exact in place.
+            width = width_of[cid]
+            half = width / 2.0
+            fits = width <= n_sites
+            if fits:
+                row_starts = grid._starts_of_width(width)
+        x, y = cell_xy[cid]
+        want_row = int(min(max(y / ROW_HEIGHT, 0), n_rows - 1))
+        want_col = int(min(max(x / SITE_WIDTH, 0), n_sites - 1))
+        # As RowGrid.free_run_near, with the target shared by every row.
+        target = min(max(want_col - width // 2, 0), n_sites - width)
+        best_cost, best_row, best_start = math.inf, -1, -1
+        for dr in range(n_rows if fits else 0):
+            # Rows in set order ({7, 9} visits 9 first); equal costs keep
+            # the first.
+            for row in {want_row - dr, want_row + dr}:
+                if not 0 <= row < n_rows:
                     continue
-                start = grid.free_run_near(row, want_col, width)
-                if start < 0:
+                dy = abs((row + 0.5) * ROW_HEIGHT - y)
+                if dy >= best_cost:
+                    continue  # its y-cost alone cannot beat the best
+                starts = row_starts[row]
+                if not starts:
                     continue
-                nx = (start + width / 2.0) * SITE_WIDTH
-                ny = (row + 0.5) * ROW_HEIGHT
-                cost = abs(nx - x) + abs(ny - y)
-                if best is None or cost < best[0]:
-                    best = (cost, row, start)
+                start = _nearest(starts, target)
+                cost = abs((start + half) * SITE_WIDTH - x) + dy
+                if cost < best_cost:
+                    best_cost, best_row, best_start = cost, row, start
             # Any solution within dr rows beats anything further away in y
             # by at least (dr+1 - dr) row heights only if its x-cost is
             # small; allow a one-row slack before stopping the search.
-            if best is not None and best[0] <= (dr - 1) * ROW_HEIGHT:
+            if best_cost <= (dr - 1) * ROW_HEIGHT:
                 break
-        require(best is not None, f"no legal site for cell {cid} "
-                "(utilization too high?)")
-        _, row, start = best
-        grid.claim(row, start, width)
-        nx = (start + width / 2.0) * SITE_WIDTH
-        ny = (row + 0.5) * ROW_HEIGHT
+        if best_row < 0:
+            raise ValueError(f"no legal site for cell {cid} "
+                             "(utilization too high?)")
+        grid.claim(best_row, best_start, width)
+        nx = (best_start + half) * SITE_WIDTH
+        ny = (best_row + 0.5) * ROW_HEIGHT
         total_disp += abs(nx - x) + abs(ny - y)
-        placement.cell_xy[cid] = (nx, ny)
+        cell_xy[cid] = (nx, ny)
     return total_disp / max(1, len(order))
 
 

@@ -14,6 +14,7 @@ layout-gated optimizer, and the router.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,8 +48,12 @@ class Placement:
     def pin_positions(self, netlist: Netlist,
                       pids: List[int]) -> np.ndarray:
         """Positions of many pins as an (n, 2) array, (0, 2) for none."""
-        return np.array([self.pin_position(netlist, p) for p in pids],
-                        dtype=float).reshape(-1, 2)
+        pins, cell_xy = netlist.pins, self.cell_xy
+        ports = self.die.port_positions
+        xy = [ports[p] if (c := pins[p].cell) is None else cell_xy[c]
+              for p in pids]
+        return np.fromiter(chain.from_iterable(xy), dtype=float,
+                           count=2 * len(xy)).reshape(-1, 2)
 
     def net_hpwl(self, netlist: Netlist, nid: int) -> float:
         """Half-perimeter wirelength of one net."""
@@ -87,53 +92,73 @@ def place(netlist: Netlist, die: Die,
     # Star-model incidence: (cell, net) membership pairs plus fixed-pad
     # contributions per net.
     net_ids = sorted(netlist.nets)
-    net_index = {nid: j for j, nid in enumerate(net_ids)}
+    n_nets = len(net_ids)
+    pins = netlist.pins
+    ports = die.port_positions
     pair_cell: List[int] = []
     pair_net: List[int] = []
-    fixed_sum = np.zeros((len(net_ids), 2))
-    fixed_cnt = np.zeros(len(net_ids))
-    for nid in net_ids:
+    fixed_x = [0.0] * n_nets
+    fixed_y = [0.0] * n_nets
+    fixed_cnt = [0] * n_nets
+    for j, nid in enumerate(net_ids):
         net = netlist.nets[nid]
-        j = net_index[nid]
         members = set()
-        for pid in [net.driver] + list(net.sinks):
-            pin = netlist.pins[pid]
-            if pin.cell is None:
-                fixed_sum[j] += die.port_positions[pid]
+        for pid in [net.driver] + net.sinks:
+            cid = pins[pid].cell
+            if cid is None:
+                px, py = ports[pid]
+                fixed_x[j] += px
+                fixed_y[j] += py
                 fixed_cnt[j] += 1
             else:
-                members.add(index[pin.cell])
+                members.add(index[cid])
         for ci in members:
             pair_cell.append(ci)
             pair_net.append(j)
     pair_cell_arr = np.asarray(pair_cell, dtype=np.int64)
     pair_net_arr = np.asarray(pair_net, dtype=np.int64)
-    net_members = np.bincount(pair_net_arr, minlength=len(net_ids)) + fixed_cnt
+    net_members = (np.bincount(pair_net_arr, minlength=n_nets)
+                   + np.asarray(fixed_cnt, dtype=float))
     cell_degree = np.bincount(pair_cell_arr, minlength=n_cells).astype(float)
     cell_degree[cell_degree == 0] = 1.0
 
+    # Both axes sum in one bincount over interleaved (x, y) slots.  A
+    # net's slots start from its fixed-pad sums, prepended, and then add
+    # its member pairs in order: every net adds its terms in the order
+    # ``np.add.at`` did, and every cell its incident nets'.
+    net_slot = np.concatenate([np.arange(2 * n_nets),
+                               2 * np.repeat(pair_net_arr, 2)
+                               + np.tile([0, 1], len(pair_net))])
+    net_weights = np.concatenate([np.column_stack([fixed_x, fixed_y]).ravel(),
+                                  np.zeros(2 * len(pair_net))])
+    cell_slot = (2 * np.repeat(pair_cell_arr, 2)
+                 + np.tile([0, 1], len(pair_cell)))
+
+    upper = np.array([die.width - 0.5, die.height - 0.5])
     xy = np.column_stack([
         rng.uniform(0.1 * die.width, 0.9 * die.width, n_cells),
         rng.uniform(0.1 * die.height, 0.9 * die.height, n_cells),
     ])
 
+    pair_xy = net_weights[2 * n_nets:].reshape(-1, 2)  # a view
     for it in range(config.n_iterations):
         # Net centroids from current cell positions and fixed pads.
-        net_sum = fixed_sum.copy()
-        np.add.at(net_sum, pair_net_arr, xy[pair_cell_arr])
-        centroid = net_sum / net_members[:, None]
+        np.take(xy, pair_cell_arr, axis=0, out=pair_xy)
+        centroid = (np.bincount(net_slot, net_weights,
+                                minlength=2 * n_nets).reshape(-1, 2)
+                    / net_members[:, None])
         # Cell update: mean of incident-net centroids, damped.
-        cell_sum = np.zeros_like(xy)
-        np.add.at(cell_sum, pair_cell_arr, centroid[pair_net_arr])
-        target = cell_sum / cell_degree[:, None]
+        pair_centroid = np.take(centroid, pair_net_arr, axis=0)
+        target = (np.bincount(cell_slot, pair_centroid.ravel(),
+                              minlength=2 * n_cells).reshape(-1, 2)
+                  / cell_degree[:, None])
         xy = (1 - config.damping) * xy + config.damping * target
         if (it + 1) % config.spread_every == 0:
             # Spreading strength ramps up: early iterations favour the
             # wirelength objective, late iterations favour legality.
             blend = 0.25 + 0.45 * (it + 1) / config.n_iterations
             xy = _spread_by_ranks(xy, die, blend)
-        xy[:, 0] = np.clip(xy[:, 0], 0.5, die.width - 0.5)
-        xy[:, 1] = np.clip(xy[:, 1], 0.5, die.height - 0.5)
+        np.clip(xy, 0.5, upper, out=xy)
 
     # Finish with a spreading step: ending on quadratic pulls would re-clump
     # the cells and leave no room for the timing optimizer to work with
@@ -141,10 +166,9 @@ def place(netlist: Netlist, die: Die,
     xy = _spread_by_ranks(xy, die, blend=0.6)
     xy = _density_warp(xy, die, netlist.name, config.seed)
     xy = _push_out_of_macros(xy, die)
-    placement = Placement(die=die)
-    for cid, pos in zip(cell_ids, xy):
-        placement.set_position(cid, float(pos[0]), float(pos[1]))
-    return placement
+    xs, ys = np.clip(xy, 0.5, upper).T  # Die.clamp, every cell at once
+    return Placement(die=die, cell_xy=dict(zip(
+        cell_ids, zip(xs.tolist(), ys.tolist()))))
 
 
 def _spread_by_ranks(xy: np.ndarray, die: Die, blend: float) -> np.ndarray:
@@ -159,17 +183,16 @@ def _spread_by_ranks(xy: np.ndarray, die: Die, blend: float) -> np.ndarray:
     n = len(xy)
     n_cols = max(1, int(np.ceil(np.sqrt(n))))
     per_col = int(np.ceil(n / n_cols))
-    target = np.empty_like(xy)
     order_x = np.argsort(xy[:, 0], kind="stable")
-    for c in range(n_cols):
-        members = order_x[c * per_col:(c + 1) * per_col]
-        if len(members) == 0:
-            continue
-        tx = (c + 0.5) / n_cols * die.width
-        rows = members[np.argsort(xy[members, 1], kind="stable")]
-        ty = (np.arange(len(rows)) + 0.5) / len(rows) * die.height
-        target[rows, 0] = tx
-        target[rows, 1] = ty
+    # Column of each x rank; within a column, a stable sort by y keeps
+    # equal ys in x-rank order.
+    col = np.arange(n) // per_col
+    rows = order_x[np.lexsort((xy[order_x, 1], col))]
+    col_len = np.minimum(per_col, n - col * per_col)
+    target = np.empty_like(xy)
+    target[rows, 0] = (col + 0.5) / n_cols * die.width
+    target[rows, 1] = ((np.arange(n) - col * per_col) + 0.5) / col_len \
+        * die.height
     return (1 - blend) * xy + blend * target
 
 

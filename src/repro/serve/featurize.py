@@ -12,7 +12,7 @@ of the model's inputs:
 :class:`IncrementalFeaturizer` tracks that dirty set across edits and
 refreshes only it, mutating the sample's arrays in place.  Every refresh
 routes through the *same* helpers the full featurization uses
-(:func:`repro.ml.features.cell_feature_row` /
+(:func:`repro.ml.features.feature_rows` /
 :func:`repro.core.masking.paint_path_boxes` /
 :func:`repro.placement.density.recompute_density_region` / ...), in the
 same accumulation order, so an incrementally maintained sample is
@@ -27,7 +27,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.core.masking import paint_path_boxes
-from repro.ml.features import cell_feature_row, net_feature_row
+from repro.ml.features import feature_rows
 from repro.netlist import Netlist
 from repro.obs import get_metrics
 from repro.placement import (
@@ -37,7 +37,7 @@ from repro.placement import (
     recompute_density_region,
     recompute_rudy_region,
 )
-from repro.timing import CELL_OUT, NET_SINK, TimingGraph
+from repro.timing import CELL_OUT, TimingGraph
 
 
 class _DirtyRects:
@@ -211,13 +211,14 @@ class IncrementalFeaturizer:
     def refresh(self) -> None:
         """Recompute everything marked dirty, in place, then clear."""
         nl, pl, g = self.netlist, self.placement, self.graph
-        for node in self._dirty_cell_nodes:
-            self.x_cell[node] = cell_feature_row(nl, pl,
-                                                 int(g.pin_ids[node]))
-        for node in self._dirty_net_nodes:
-            assert g.kind[node] == NET_SINK
-            self.x_net[node] = net_feature_row(nl, pl,
-                                               int(g.pin_ids[node]))
+        dirty = self._dirty_cell_nodes | self._dirty_net_nodes
+        if dirty:
+            nodes = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            cell_rows, cell_nodes, net_rows, net_nodes = feature_rows(
+                nl, pl, g, nodes)
+            assert len(cell_nodes) + len(net_nodes) == len(nodes)
+            self.x_cell[cell_nodes] = cell_rows
+            self.x_net[net_nodes] = net_rows
         if self._dirty_endpoints:
             rows = sorted(self._dirty_endpoints)
             self.masks[rows] = paint_path_boxes(

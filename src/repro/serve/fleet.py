@@ -51,6 +51,7 @@ import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.flow import FlowConfig, FlowResult, PreRouteDesign
@@ -246,6 +247,8 @@ class TimingFleet:
             self.routing[design] = worker.id
             self._send_open(worker, design)
         deadline = time.perf_counter() + self.config.start_timeout_s
+        handles = ([w.conn for w in self.workers]
+                   + [w.process.sentinel for w in self.workers])
         while any(w.ready.union(w.failed) != w.designs
                   for w in self.workers):
             if time.perf_counter() > deadline:
@@ -253,8 +256,11 @@ class TimingFleet:
                 raise TimeoutError(
                     "fleet workers did not open their sessions within "
                     f"{self.config.start_timeout_s:.0f}s")
+            # One wait on every pipe and process sentinel: the first
+            # message or death from any worker ends it.
+            readable = set(wait(handles, timeout=0.05))
             for worker in self.workers:
-                if worker.conn.poll(0.05):
+                if worker.conn in readable:
                     self.pump(worker)
                 if not worker.alive:
                     self.stop()

@@ -126,8 +126,9 @@ def build_timing_graph(netlist: Netlist) -> TimingGraph:
 
 
 def _build_timing_graph(netlist: Netlist) -> TimingGraph:
-    pin_ids = np.array(sorted(netlist.pins), dtype=np.int64)
-    node_of = {int(p): i for i, p in enumerate(pin_ids)}
+    pin_list = sorted(netlist.pins)
+    pin_ids = np.array(pin_list, dtype=np.int64)
+    node_of = {p: i for i, p in enumerate(pin_list)}
     n = len(pin_ids)
 
     net_src, net_dst = [], []

@@ -33,10 +33,10 @@ from repro.timing.rc import (
 )
 from repro.timing.sta import (
     PI_INPUT_SLEW,
-    PO_LOAD_FF,
     SLEW_WIRE_FACTOR,
     STAResult,
     _argmax_per_dst,
+    _pin_statics,
 )
 
 
@@ -72,8 +72,7 @@ class IncrementalSTA:
 
         self._pin_cap = np.zeros(n)
         self._out_type = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            self._refresh_node_static(i)
+        self._refresh_static(np.arange(n))
 
         self._edge_of_sink = g.net_edge_of_sink
         self._wire_len = edge_lengths(self.wires, g.pin_ids[g.net_edge_src],
@@ -87,19 +86,14 @@ class IncrementalSTA:
         self._sweep(start_level=1)
         self.result = self._package()
 
-    def _refresh_node_static(self, node: int) -> None:
-        nl = self.netlist
-        lib = nl.library
-        pin = nl.pins[int(self.graph.pin_ids[node])]
-        cap = 0.0
-        if pin.cell is not None and pin.direction == "in":
-            cap = lib.cell(nl.cells[pin.cell].type_name).input_cap
-        elif pin.pid in self._po_pins:
-            cap = PO_LOAD_FF
-        self._pin_cap[node] = cap
-        if pin.cell is not None and pin.direction == "out":
-            self._out_type[node] = self._nldm.type_id(
-                nl.cells[pin.cell].type_name)
+    def _refresh_static(self, nodes) -> None:
+        """Re-read the pin caps and output cell types of *nodes*."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        caps, outs, types = _pin_statics(
+            self.netlist, self.netlist.library, self._nldm,
+            self.graph.pin_ids[nodes].tolist(), self._po_pins)
+        self._pin_cap[nodes] = caps
+        self._out_type[nodes[outs]] = types
 
     def _recompute_wire_terms(self) -> None:
         g = self.graph
@@ -114,8 +108,9 @@ class IncrementalSTA:
 
     def _init_sources(self) -> None:
         g, nl = self.graph, self.netlist
-        for node in g.startpoints:
-            pin = nl.pins[int(g.pin_ids[node])]
+        for node, pid in zip(g.startpoints.tolist(),
+                             g.pin_ids[g.startpoints].tolist()):
+            pin = nl.pins[pid]
             if pin.cell is None:
                 self._arrival[node] = 0.0
             else:
@@ -140,11 +135,10 @@ class IncrementalSTA:
         nl.change_cell_type(cid, new_type_name)
         node_of = self.graph.node_of
         out_node = node_of[inst.output_pin]
-        self._refresh_node_static(out_node)
+        self._refresh_static([out_node]
+                             + [node_of[ip] for ip in inst.input_pins])
         self._dirty.add(out_node)
         for ip in inst.input_pins:
-            in_node = node_of[ip]
-            self._refresh_node_static(in_node)
             net_id = nl.pins[ip].net
             if net_id is None:
                 continue
@@ -240,8 +234,8 @@ class IncrementalSTA:
         endpoint_arrival: Dict[int, float] = {}
         endpoint_slack: Dict[int, float] = {}
         required = np.full(g.n_nodes, np.inf)
-        for node in g.endpoints:
-            pid = int(g.pin_ids[node])
+        for node, pid in zip(g.endpoints.tolist(),
+                             g.pin_ids[g.endpoints].tolist()):
             pin = nl.pins[pid]
             setup = 0.0
             if pin.cell is not None:

@@ -139,6 +139,33 @@ def _argmax_per_dst(cand: np.ndarray, dst: np.ndarray,
     return exact[first]
 
 
+def _pin_statics(netlist: Netlist, lib, nldm, pin_ids: List[int],
+                 po_pins) -> Tuple[List[float], List[int], List[int]]:
+    """Static electrical data of the pins *pin_ids*, in order.
+
+    Returns ``(caps, outs, types)``: each pin's capacitance (an input's
+    cell pin cap, ``PO_LOAD_FF`` for a primary output, else 0), and for
+    the cell outputs among them their positions in *pin_ids* and their
+    NLDM type ids.
+    """
+    pins, cells = netlist.pins, netlist.cells
+    caps: List[float] = []
+    outs: List[int] = []
+    types: List[int] = []
+    for k, pid in enumerate(pin_ids):
+        pin = pins[pid]
+        cap = 0.0
+        if pin.cell is not None and pin.direction == "in":
+            cap = lib.cell(cells[pin.cell].type_name).input_cap
+        elif pid in po_pins:
+            cap = PO_LOAD_FF
+        caps.append(cap)
+        if pin.cell is not None and pin.direction == "out":
+            outs.append(k)
+            types.append(nldm.type_id(cells[pin.cell].type_name))
+    return caps, outs, types
+
+
 def run_sta(graph: TimingGraph, wires: WireLengthProvider,
             clock_period: float,
             constraints: "TimingConstraints" = None,
@@ -187,17 +214,12 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
     # ------------------------------------------------------------------
     # Static per-node electrical data.
     # ------------------------------------------------------------------
-    pin_cap = np.zeros(n)
-    out_type_id = np.zeros(n, dtype=np.int64)
     po_pins = {p.pin for p in nl.primary_outputs()}
-    for i, pid in enumerate(graph.pin_ids):
-        pin = nl.pins[int(pid)]
-        if pin.cell is not None and pin.direction == "in":
-            pin_cap[i] = lib.cell(nl.cells[pin.cell].type_name).input_cap
-        elif int(pid) in po_pins:
-            pin_cap[i] = PO_LOAD_FF
-        if pin.cell is not None and pin.direction == "out":
-            out_type_id[i] = nldm.type_id(nl.cells[pin.cell].type_name)
+    caps, outs, types = _pin_statics(nl, lib, nldm, graph.pin_ids.tolist(),
+                                     po_pins)
+    pin_cap = np.array(caps, dtype=float)
+    out_type_id = np.zeros(n, dtype=np.int64)
+    out_type_id[outs] = types
 
     # Net-edge wire delays and per-driver total loads (star Elmore).
     e_src = graph.net_edge_src
@@ -233,8 +255,8 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
     arrival = np.full(n, -np.inf)
     slew = np.full(n, PI_INPUT_SLEW)
     best_pred = np.full(n, -1, dtype=np.int64)
-    for node in graph.startpoints:
-        pid = int(graph.pin_ids[node])
+    for node, pid in zip(graph.startpoints.tolist(),
+                         graph.pin_ids[graph.startpoints].tolist()):
         pin = nl.pins[pid]
         if pin.cell is None:
             arrival[node] = (constraints.input_delay(pin.name)
@@ -286,8 +308,8 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
     endpoint_arrival: Dict[int, float] = {}
     endpoint_slack: Dict[int, float] = {}
     required = np.full(n, np.inf)
-    for node in graph.endpoints:
-        pid = int(graph.pin_ids[node])
+    for node, pid in zip(graph.endpoints.tolist(),
+                         graph.pin_ids[graph.endpoints].tolist()):
         pin = nl.pins[pid]
         setup = 0.0
         if pin.cell is not None:

@@ -1,10 +1,12 @@
 """The flow's inner loop reports itself to the tracer.
 
 Besides the stage and STA spans, a traced ``run_flow`` records one
-``timing.graph.build`` span per timing-graph construction (``n_nodes``,
-``n_levels``) and one ``placement.legalize`` span per legalization
-(``cells``), so a profile of the flow splits graph building, STA and
-legalization without cProfile.
+``netlist.generate`` span per generated netlist (``cells``, ``pins``),
+one ``timing.graph.build`` span per timing-graph construction
+(``n_nodes``, ``n_levels``) and one ``placement.legalize`` span per
+legalization (``cells``), so a profile of the flow splits generation,
+graph building, STA and legalization without cProfile.  The generator
+span adds no ``StageTimer`` stage: ``flow_times`` keep their keys.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ def test_run_flow_emits_graph_build_and_legalize_spans(traced):
     by_name = {}
     for s in spans:
         by_name.setdefault(s["name"], []).append(s)
+
+    gen = by_name["netlist.generate"]
+    assert len(gen) == 1
+    assert gen[0]["attrs"] == {"design": flow.name,
+                               "cells": len(flow.input_netlist.cells),
+                               "pins": len(flow.input_netlist.pins)}
+    assert "generate" not in flow.timer.stages
 
     legal = by_name["placement.legalize"]
     assert len(legal) == 1

@@ -8,7 +8,10 @@ lists cached per (row, width), kept exact by every write.  This module
 keeps a frozen copy of the old grid (a cumulative-sum scan per query),
 ``legalize`` and ``find_site_near`` and checks that legalized positions,
 the mean displacement and seeded sequences of writes and searches agree
-exactly, including oversized widths and equal-distance ties.
+exactly, including oversized widths and equal-distance ties.  The
+legalizer no longer calls ``free_run_near`` per row; on every paper
+preset at design seeds 0 and 1 and scales 0.1 and 0.35 it must still
+place every cell where the frozen scan does.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.placement import (
     SITE_WIDTH,
     Die,
     Placement,
+    PlacerConfig,
     RowGrid,
     build_die,
     cell_site_width,
@@ -184,6 +188,22 @@ def test_legalize_matches_frozen(name):
     disp = legalize(netlist, ours)
     ref_disp = _frozen_legalize(netlist, ref)
     assert disp == ref_disp
+    assert ours.cell_xy == ref.cell_xy
+    assert list(ours.cell_xy) == list(ref.cell_xy)
+
+
+@pytest.mark.parametrize("name,seed,scale", [
+    (d, s, k) for d in PAPER_DESIGNS for s in (0, 1) for k in (0.1, 0.35)])
+def test_legalize_matches_frozen_at_every_seed_and_scale(name, seed, scale):
+    """The legalizer's inlined row search (one width per cell type, one
+    free-start list per row and width group, rows whose y-cost alone
+    cannot win skipped) lands every cell where the per-row scan did."""
+    spec = DESIGN_PRESETS[name].scaled(scale)
+    netlist = generate_netlist(spec, seed)
+    placement = place(netlist, build_die(netlist, spec, seed),
+                      PlacerConfig(seed=seed))
+    ours, ref = _copy(placement), _copy(placement)
+    assert legalize(netlist, ours) == _frozen_legalize(netlist, ref)
     assert ours.cell_xy == ref.cell_xy
     assert list(ours.cell_xy) == list(ref.cell_xy)
 
