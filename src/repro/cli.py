@@ -15,6 +15,7 @@ table1/2/3  regenerate a paper table
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -381,14 +382,65 @@ def cmd_predict(args) -> int:
     return 0
 
 
+class _BootCollector:
+    """The cyclic garbage collector around a serving boot.
+
+    A boot builds long-lived objects by the hundred thousand (imported
+    modules, netlists, graphs, samples, the pool's unpickled results)
+    and next to no garbage cycles, yet the collector would walk them
+    again and again, once in a full pass while the pool's results are
+    unpickled.  CPython's ``gc.freeze`` recipe keeps that off the serial
+    path: creating this turns the collector off; :meth:`ready` freezes
+    what the boot built into the permanent generation, which later
+    passes skip, and turns it back on; :meth:`restore` unfreezes and
+    leaves the collector as it was found.  A freeze can only be undone
+    as a whole, so a caller that froze objects itself keeps its freeze
+    and the boot adds none to it.
+    """
+
+    def __init__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        self.may_freeze = gc.get_freeze_count() == 0
+        gc.disable()
+
+    def resume(self) -> None:
+        """Collector back on (if it was), nothing frozen: for boot work
+        that makes garbage, such as a bootstrap's training."""
+        if self.was_enabled:
+            gc.enable()
+
+    def ready(self) -> None:
+        if self.may_freeze:
+            gc.freeze()
+        self.resume()
+
+    def restore(self) -> None:
+        if self.may_freeze:
+            gc.unfreeze()
+        if self.was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def cmd_serve(args) -> int:
     """Load (or bootstrap) a predictor, open sessions, serve HTTP.
 
     Both modes serve through the async gateway, with graceful drain on
     SIGTERM.  ``--workers 0`` (default) keeps the sessions in this
     process; ``--workers N`` starts the sharded fleet: N worker
-    processes that inherit the read-only model weights by fork.
+    processes that inherit the read-only model weights by fork.  The
+    boot runs with the collector off (see :class:`_BootCollector`),
+    imports included.
     """
+    collector = _BootCollector()
+    try:
+        return _serve(args, collector)
+    finally:
+        collector.restore()
+
+
+def _serve(args, collector: _BootCollector) -> int:
     import signal
 
     from repro.core import ModelConfig, TimingPredictor, TrainerConfig
@@ -469,6 +521,7 @@ def cmd_serve(args) -> int:
         print(f"model {args.model} not found; bootstrapping a "
               f"{args.bootstrap_epochs}-epoch predictor on "
               f"{sorted(designs)}")
+        collector.resume()
         predictor = TimingPredictor(
             model_config=model_config,
             trainer_config=TrainerConfig(epochs=args.bootstrap_epochs))
@@ -520,6 +573,9 @@ def cmd_serve(args) -> int:
                                  scenario=args.scenario)
         sessions = {d: factory.open(designs[d], sample=inputs[d])
                     for d in args.designs}
+        # The sessions own their designs now, so a session evicted by
+        # DELETE or the idle TTL leaves nothing of its design behind.
+        del designs, inputs
         backend = InProcessBackend(sessions, config, batcher=batcher)
     gateway = TimingGateway(
         backend, host=args.host, port=args.port,
@@ -530,7 +586,8 @@ def cmd_serve(args) -> int:
     host, port = gateway.bind()
     signal.signal(signal.SIGTERM,
                   lambda signum, frame: gateway.request_drain())
-    print(f"serving {sorted(designs)} on http://{host}:{port} "
+    collector.ready()
+    print(f"serving {sorted(set(args.designs))} on http://{host}:{port} "
           f"({args.workers} workers)", flush=True)
     gateway.serve_forever()
     return 0

@@ -45,7 +45,7 @@ from repro.flow.flow import (  # noqa: F401
 from repro.flow.stages import StagedFlow
 from repro.flow.store import StageStore
 from repro.netlist import DESIGN_PRESETS, DesignSpec
-from repro.timing import TimingGraph
+from repro.timing import PreRouteEstimator, STAResult, run_sta
 from repro.utils import get_logger, require
 
 logger = get_logger("flow.scenario")
@@ -295,7 +295,7 @@ def run_scenario_flow(design: Union[str, DesignSpec],
 def run_pre_route(design: Union[str, DesignSpec],
                   config: Optional[FlowConfig] = None,
                   scenario: Union[ScenarioSpec, str, None] = None,
-                  ) -> Tuple[PreRouteDesign, TimingGraph]:
+                  ) -> Tuple[PreRouteDesign, STAResult]:
     """The label-free inputs of one design at one scenario (the serve
     entry point).
 
@@ -305,20 +305,28 @@ def run_pre_route(design: Union[str, DesignSpec],
     full chain: round *r*'s input is round *r − 1*'s optimized, routed
     implementation.
 
-    Returns ``(design, graph)``, as :meth:`StagedFlow.pre_route` does:
-    the :class:`PreRouteDesign` and the timing graph the flow's
-    pre-route STA built on its input netlist — the one graph a served
-    design needs (see DESIGN.md, "Boot").
+    Returns ``(design, sta)``, as :meth:`StagedFlow.pre_route` does:
+    the :class:`PreRouteDesign` and a pre-route STA of its input
+    netlist (estimated wire lengths, nominal library, any clock) whose
+    ``graph`` is the one timing graph a served design needs and whose
+    state a session's incremental STA starts from (see DESIGN.md,
+    "Boot").  An ECO flow's ``pre_route_sta`` is the previous round's
+    sign-off, on routed lengths, so that case times the input netlist
+    on its graph once more.
     """
     config = config or FlowConfig()
     spec, scenario = _resolve(design, config, scenario)
     if scenario.eco_rounds:
         flow = run_scenarios(spec, config, [scenario])[0]
-        pre, graph = flow.pre_route(), flow.pre_route_sta.graph
+        pre = flow.pre_route()
+        sta = run_sta(flow.pre_route_sta.graph,
+                      PreRouteEstimator(pre.input_netlist,
+                                        pre.input_placement),
+                      pre.clock_period)
     else:
-        pre, graph = StagedFlow(scenario.apply(spec), config).pre_route()
+        pre, sta = StagedFlow(scenario.apply(spec), config).pre_route()
         pre.scenario = scenario.scenario_id
-    return pre, graph
+    return pre, sta
 
 
 def _resolve(design: Union[str, DesignSpec], config: FlowConfig,

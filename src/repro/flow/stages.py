@@ -303,11 +303,7 @@ class StagedFlow:
 
         def build(key: str) -> UnconstrainedArtifact:
             t0 = time.perf_counter()
-            g = graph if graph is not None else build_timing_graph(
-                gen.netlist)
-            sta = run_sta(g,
-                          PreRouteEstimator(gen.netlist, placed.placement),
-                          clock_period=1.0)
+            sta = _unconstrained_sta(gen, placed, graph)
             return UnconstrainedArtifact(
                 key=key, max_arrival=float(sta.max_arrival),
                 duration_s=time.perf_counter() - t0)
@@ -492,26 +488,27 @@ class StagedFlow:
         Generate, place, and the unconstrained STA the clock period is
         derived from — nothing else.  The constrained pre-route STA,
         opt, route and sign-off feed only labels, so a served design
-        skips them.  Returns ``(design, graph)``: the design equals
+        skips them.  Returns ``(design, sta)``: the design equals
         ``run().pre_route()`` byte for byte (pinned by
-        ``tests/flow/test_pre_route.py``), and *graph* is the input
-        netlist's timing graph the STA ran on, for featurization and
-        serving to reuse.
+        ``tests/flow/test_pre_route.py``), and *sta* is the unconstrained
+        STA of its input netlist (``sta.graph`` is the timing graph), for
+        featurization and a session's incremental STA to reuse.  That
+        STA always runs here, even with a store: a stored
+        :class:`UnconstrainedArtifact` keeps only ``max_arrival``.
         """
         from repro.flow.flow import PreRouteDesign
 
         gen = self.generate()
         placed = self.place(gen)
-        graph = build_timing_graph(gen.netlist)
-        unconstrained = self.unconstrained(gen, placed, graph=graph)
+        sta = _unconstrained_sta(gen, placed)
         return PreRouteDesign(
             spec=self.spec,
-            clock_period=self.spec.clock_frac * unconstrained.max_arrival,
+            clock_period=self.spec.clock_frac * float(sta.max_arrival),
             input_netlist=gen.netlist,
             input_placement=placed.placement,
             input_maps=placed.input_maps,
             corner_names=self.config.corner_set().names,
-        ), graph
+        ), sta
 
     def run(self):
         """Execute every stage in order; assemble a ``FlowResult``.
@@ -653,6 +650,16 @@ class StagedFlow:
                 "constrain.unconstrained": unconstrained,
                 "constrain": constrain, "opt": opt, "route": routed,
                 **{f"signoff@{k}": v for k, v in signoff.items()}}
+
+
+def _unconstrained_sta(gen: GenerateArtifact, placed: PlaceArtifact,
+                       graph=None) -> STAResult:
+    """The placed netlist's pre-route STA, on *graph* when given; its
+    clock is arbitrary (only ``max_arrival`` and the clock-independent
+    arrays are read)."""
+    g = graph if graph is not None else build_timing_graph(gen.netlist)
+    return run_sta(g, PreRouteEstimator(gen.netlist, placed.placement),
+                   clock_period=1.0)
 
 
 def run_staged_flow(spec: DesignSpec, config,

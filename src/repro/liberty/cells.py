@@ -21,7 +21,7 @@ from repro.liberty.tables import (
     DEFAULT_LOAD_AXIS,
     DEFAULT_SLEW_AXIS,
     LookupTable2D,
-    synthesize_table,
+    tables_on_axes,
 )
 
 
@@ -113,62 +113,66 @@ class CellType:
         Exposed for tests: table lookups must agree with this model inside
         the characterized range.
         """
-        return (self.intrinsic_delay
-                + self.drive_resistance * load
-                + _SLEW_COEFF * slew)
+        return _delay_model(self.intrinsic_delay, self.drive_resistance,
+                            slew, load)
 
     def analytic_slew(self, slew: float, load: float) -> float:
         """Closed-form output slew of the characterization model."""
-        rc = self.drive_resistance * load
-        return self.intrinsic_delay * 0.5 + _SLEW_OUT_COEFF * rc + 0.05 * slew
+        return _slew_model(self.intrinsic_delay, self.drive_resistance,
+                           slew, load)
 
 
-def _characterize(kind: GateKind, drive: int) -> CellType:
-    """Build one fully characterized :class:`CellType`."""
-    r_drive = _R_BASE_KOHM * kind.effort / drive
-    input_cap = _CIN_BASE_FF * kind.effort * (0.6 + 0.4 * drive)
-    intrinsic = _INTRINSIC_BASE_PS * kind.effort * (1.0 + 0.15 * (kind.n_inputs - 1))
-    area = _AREA_BASE_UM2 * kind.effort * drive * (1.0 + 0.3 * (kind.n_inputs - 1))
+def _delay_model(intrinsic, r_drive, slew, load):
+    """Arc delay of the characterization model (broadcasts over arrays)."""
+    return intrinsic + r_drive * load + _SLEW_COEFF * slew
+
+
+def _slew_model(intrinsic, r_drive, slew, load):
+    """Output slew of the characterization model (broadcasts over arrays)."""
+    rc = r_drive * load
+    return intrinsic * 0.5 + _SLEW_OUT_COEFF * rc + 0.05 * slew
+
+
+def _cell_params(kind: GateKind, drive: int) -> Dict[str, object]:
+    """The scalar fields of one :class:`CellType` (everything but its
+    tables)."""
+    area = (_AREA_BASE_UM2 * kind.effort * drive
+            * (1.0 + 0.3 * (kind.n_inputs - 1)))
     if kind.is_sequential:
         area *= 3.0
-
-    # Construct a CellType shell first so the analytic model can use its
-    # final parameters, then synthesize the tables from that model.
-    shell = CellType(
+    return dict(
         name=f"{kind.name}_X{drive}",
         kind=kind,
         drive=drive,
-        input_cap=input_cap,
-        drive_resistance=r_drive,
-        intrinsic_delay=intrinsic,
+        input_cap=_CIN_BASE_FF * kind.effort * (0.6 + 0.4 * drive),
+        drive_resistance=_R_BASE_KOHM * kind.effort / drive,
+        intrinsic_delay=(_INTRINSIC_BASE_PS * kind.effort
+                         * (1.0 + 0.15 * (kind.n_inputs - 1))),
         area=area,
         setup_time=8.0 if kind.is_sequential else 0.0,
         clk_to_q=14.0 / np.sqrt(drive) if kind.is_sequential else 0.0,
     )
-    delay_table = synthesize_table(DEFAULT_SLEW_AXIS, DEFAULT_LOAD_AXIS,
-                                   shell.analytic_delay)
-    slew_table = synthesize_table(DEFAULT_SLEW_AXIS, DEFAULT_LOAD_AXIS,
-                                  shell.analytic_slew)
-    return CellType(
-        name=shell.name,
-        kind=kind,
-        drive=drive,
-        input_cap=input_cap,
-        drive_resistance=r_drive,
-        intrinsic_delay=intrinsic,
-        area=area,
-        delay_table=delay_table,
-        slew_table=slew_table,
-        setup_time=shell.setup_time,
-        clk_to_q=shell.clk_to_q,
-    )
 
 
 def characterize_all() -> Dict[str, CellType]:
-    """Characterize every (kind, drive) combination in the library."""
-    cells: Dict[str, CellType] = {}
-    for kind in GATE_KINDS:
-        for drive in DRIVE_STRENGTHS:
-            cell = _characterize(kind, drive)
-            cells[cell.name] = cell
-    return cells
+    """Characterize every (kind, drive) combination in the library.
+
+    Every cell is sampled on the same default axes, so all delay and
+    slew tables come out of one broadcast of the analytic model over the
+    axis grid (per entry, the same arithmetic as sampling each cell on
+    its own) and the axes are checked once.
+    """
+    params = [_cell_params(kind, drive)
+              for kind in GATE_KINDS for drive in DRIVE_STRENGTHS]
+    slew_axis = np.asarray(DEFAULT_SLEW_AXIS, dtype=float)
+    load_axis = np.asarray(DEFAULT_LOAD_AXIS, dtype=float)
+    ss, ll = np.meshgrid(slew_axis, load_axis, indexing="ij")
+    intrinsic = np.array([p["intrinsic_delay"] for p in params])
+    r_drive = np.array([p["drive_resistance"] for p in params])
+    intrinsic, r_drive = intrinsic[:, None, None], r_drive[:, None, None]
+    delays = tables_on_axes(slew_axis, load_axis,
+                            _delay_model(intrinsic, r_drive, ss, ll))
+    slews = tables_on_axes(slew_axis, load_axis,
+                           _slew_model(intrinsic, r_drive, ss, ll))
+    return {p["name"]: CellType(delay_table=d, slew_table=s, **p)
+            for p, d, s in zip(params, delays, slews)}

@@ -63,6 +63,14 @@ class CellLibrary:
             _DEFAULT = cls(characterize_all())
         return _DEFAULT
 
+    def __reduce_ex__(self, protocol):
+        # The default library pickles (and copies) by reference: an
+        # unpickled netlist binds the receiving process's own default
+        # instead of carrying a characterized copy of it.
+        if self is _DEFAULT:
+            return (CellLibrary.default, ())
+        return super().__reduce_ex__(protocol)
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

@@ -11,6 +11,7 @@ interpolation code path a real NLDM flow would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -31,12 +32,7 @@ class LookupTable2D:
     values: np.ndarray  # shape (len(slew_axis), len(load_axis))
 
     def __post_init__(self) -> None:
-        require(self.values.shape == (len(self.slew_axis), len(self.load_axis)),
-                "table shape must match axis lengths")
-        require(bool(np.all(np.diff(self.slew_axis) > 0)),
-                "slew axis must be strictly increasing")
-        require(bool(np.all(np.diff(self.load_axis) > 0)),
-                "load axis must be strictly increasing")
+        _check_axes(self.slew_axis, self.load_axis, self.values.shape)
 
     def lookup(self, slew: float, load: float) -> float:
         """Bilinear interpolation with clamped extrapolation."""
@@ -78,6 +74,37 @@ class LookupTable2D:
             return self
         return LookupTable2D(self.slew_axis, self.load_axis,
                              self.values * factor)
+
+
+def _check_axes(slew_axis: np.ndarray, load_axis: np.ndarray,
+                shape) -> None:
+    require(tuple(shape) == (len(slew_axis), len(load_axis)),
+            "table shape must match axis lengths")
+    require(bool(np.all(np.diff(slew_axis) > 0)),
+            "slew axis must be strictly increasing")
+    require(bool(np.all(np.diff(load_axis) > 0)),
+            "load axis must be strictly increasing")
+
+
+def tables_on_axes(slew_axis: np.ndarray, load_axis: np.ndarray,
+                   values: np.ndarray) -> List[LookupTable2D]:
+    """One :class:`LookupTable2D` per ``values[k]`` of a ``(k, S, L)``
+    stack, all on the same two axes.
+
+    The axes and the shape are checked once for the whole stack instead
+    of once per table; each table's ``values`` is a view of the stack.
+    """
+    require(values.ndim == 3, "values must be a (k, S, L) stack")
+    _check_axes(slew_axis, load_axis, values.shape[1:])
+    tables = []
+    for v in values:
+        table = object.__new__(LookupTable2D)
+        # The fields a frozen dataclass's __init__ would set, minus the
+        # per-table __post_init__ check done once above.
+        table.__dict__.update(slew_axis=slew_axis, load_axis=load_axis,
+                              values=v)
+        tables.append(table)
+    return tables
 
 
 def synthesize_table(slew_axis: np.ndarray, load_axis: np.ndarray,

@@ -29,7 +29,13 @@ from repro.ml.parallel import run_design_tasks
 from repro.ml.sample import DesignSample, LevelPlan
 from repro.netlist import DESIGN_PRESETS
 from repro.obs import get_metrics, get_tracer
-from repro.timing import CELL_OUT, NET_SINK, TimingGraph, build_timing_graph
+from repro.timing import (
+    CELL_OUT,
+    NET_SINK,
+    STAResult,
+    TimingGraph,
+    build_timing_graph,
+)
 from repro.utils import (
     atomic_pickle_dump,
     get_logger,
@@ -81,15 +87,19 @@ class DesignInputs:
 
     *graph* is the input netlist's timing graph and *paths* the
     endpoints' critical-path net edges (:func:`build_endpoint_paths`).
-    A serving session keeps both — its incremental featurizer and
+    *sta* is the pre-route STA the graph came from, when the boot ran
+    one (:func:`repro.flow.run_pre_route`), else ``None``.  A serving
+    session keeps the graph and paths — its incremental featurizer and
     incremental STA share the graph, and an edit re-rasterizes the
-    cached paths — so a boot builds each once per design.  They stay
-    out of the sample, whose pickles are the dataset cache format.
+    cached paths — and its incremental STA takes the STA's state over,
+    so a boot builds each once per design and sweeps it once.  They
+    stay out of the sample, whose pickles are the dataset cache format.
     """
 
     sample: DesignSample
     graph: TimingGraph
     paths: List[List[Tuple[int, int]]]
+    sta: Optional[STAResult] = None
 
 
 def build_inputs(design: Union[FlowResult, PreRouteDesign],
@@ -117,14 +127,16 @@ def build_inputs(design: Union[FlowResult, PreRouteDesign],
 def build_design_inputs(design: Union[FlowResult, PreRouteDesign],
                         map_bins: int = 64, seed: int = 0,
                         partition_pins: Optional[int] = None,
-                        graph: Optional[TimingGraph] = None
+                        sta: Optional[STAResult] = None
                         ) -> DesignInputs:
     """:func:`build_inputs` with the graph and paths it was built from.
 
-    *graph* is the input netlist's timing graph when the caller already
-    has it (the second half of :func:`repro.flow.run_pre_route`'s
-    result); without it, a :class:`~repro.flow.FlowResult` lends its
-    pre-route STA graph, built on the same netlist, and only a bare
+    *sta* is the design's pre-route STA when the caller already has it
+    (the second half of :func:`repro.flow.run_pre_route`'s result):
+    featurization reuses its graph and the inputs carry it for a
+    session's incremental STA.  Without it, a
+    :class:`~repro.flow.FlowResult` lends its pre-route STA's graph,
+    built on the same netlist, and only a bare
     :class:`~repro.flow.PreRouteDesign` builds one here.
     """
     corner_names = design.corner_names
@@ -137,10 +149,12 @@ def build_design_inputs(design: Union[FlowResult, PreRouteDesign],
     # levelization, features, critical-region masks.
     sp = get_tracer().span("model.pre", stage="pre", design=design.name)
     with sp:
-        if graph is None:
-            sta = getattr(design, "pre_route_sta", None)
-            graph = (sta.graph if sta is not None
-                     else build_timing_graph(nl))
+        if sta is not None:
+            graph = sta.graph
+        elif getattr(design, "pre_route_sta", None) is not None:
+            graph = design.pre_route_sta.graph
+        else:
+            graph = build_timing_graph(nl)
         plans = build_level_plans(graph)
         x_cell, x_net = node_features(nl, placement, graph,
                                       partition=partition_pins)
@@ -175,7 +189,7 @@ def build_design_inputs(design: Union[FlowResult, PreRouteDesign],
         scenario=design.scenario,
         partition_pins=partition_pins,
     )
-    return DesignInputs(sample=sample, graph=graph, paths=paths)
+    return DesignInputs(sample=sample, graph=graph, paths=paths, sta=sta)
 
 
 def build_sample(flow: FlowResult, map_bins: int = 64,
@@ -562,25 +576,29 @@ def _boot_design(design: str, flow_config: FlowConfig,
     Only a model-less bootstrap (*train_bins* set) needs labels, so only
     it runs the full flow, which never leaves this task; a boot with a
     model runs just the pre-route stages
-    (:func:`repro.flow.run_pre_route`).  The inputs reuse the timing
-    graph of the flow's pre-route STA.  With both bin counts set they
-    must be equal: the labeled samples are then a labeled copy of the
-    inputs, so a boot walks each design's critical paths once.
+    (:func:`repro.flow.run_pre_route`), and its inputs carry that STA
+    for the session's incremental STA to start from.  The inputs reuse
+    the graph of the flow's pre-route STA.  With both bin counts set
+    they must be equal: the labeled samples are then a labeled copy of
+    the inputs, so a boot walks each design's critical paths once.
     """
     # Looked up through the module at call time, so a patched
     # ``repro.flow`` entry point runs here and in forked workers.
     if train_bins is None:
         flow = None
-        pre, graph = repro.flow.run_pre_route(design, flow_config,
-                                              scenario=scenario)
+        pre, sta = repro.flow.run_pre_route(design, flow_config,
+                                            scenario=scenario)
     else:
         flow = repro.flow.run_scenario_flow(design, flow_config,
                                             scenario=scenario)
-        pre, graph = flow.pre_route(), flow.pre_route_sta.graph
+        # Featurized on the flow, which lends its pre-route STA's graph;
+        # that STA is not the session's to start from (an ECO flow's is
+        # a sign-off on routed lengths), so none is carried.
+        pre, sta = flow.pre_route(), None
     inputs = (None if map_bins is None else
-              build_design_inputs(pre, map_bins=map_bins, seed=seed,
-                                  partition_pins=partition_pins,
-                                  graph=graph))
+              build_design_inputs(pre if flow is None else flow,
+                                  map_bins=map_bins, seed=seed,
+                                  partition_pins=partition_pins, sta=sta))
     if flow is None:
         train = None
     elif inputs is None:

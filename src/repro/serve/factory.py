@@ -98,8 +98,9 @@ class SessionFactory:
         pre-routing inputs), or a preset design name (only the flow's
         pre-route stages run here, through
         :func:`~repro.flow.run_pre_route`, and the session's inputs
-        reuse the graph their STA built).  *sample* is the design's
-        pre-built model input, if any (see :class:`DesignSession`).
+        reuse the graph and the state of their STA).  *sample* is the
+        design's pre-built model input, if any (see
+        :class:`DesignSession`).
         *replay* is a list of committed edit batches (wire dicts)
         applied before the session is returned, restoring its revision
         counter — the fleet's crash-recovery journal path.
@@ -114,14 +115,14 @@ class SessionFactory:
         if isinstance(design, str):
             # Looked up through the module at call time, so a patched
             # ``repro.flow`` entry point runs here and in forked workers.
-            design, graph = repro.flow.run_pre_route(
+            design, sta = repro.flow.run_pre_route(
                 design, self.flow_config or FlowConfig(base_seed=seed),
                 scenario=self.scenario)
             if sample is None:
                 sample = build_design_inputs(
                     design, map_bins=predictor.model_config.map_bins,
                     seed=seed, partition_pins=self.partition_pins,
-                    graph=graph)
+                    sta=sta)
         session = DesignSession(design, predictor, seed=seed, sample=sample,
                                 infer=infer, corners=self.corners,
                                 partition_pins=self.partition_pins)

@@ -124,7 +124,9 @@ class DesignSession:
         :class:`~repro.ml.dataset.DesignInputs`.  ``None`` builds them
         here.  The session's featurizer and incremental STA share the
         inputs' timing graph and critical paths, so a session adds no
-        graph build and no path walk of its own.
+        graph build and no path walk of its own; when the inputs carry
+        the boot's pre-route STA, the incremental STA takes its state
+        over and adds no propagation sweep either.
     corners:
         Sign-off corner names this session answers for (must be a subset
         of the predictor's ``corner_names``).  ``None`` serves every
@@ -223,7 +225,8 @@ class DesignSession:
                 masks=self.sample.masks, paths=inputs.paths,
                 layout_stack=self.sample.layout_stack, map_bins=map_bins)
             self.sta = IncrementalSTA(self.netlist, self.placement,
-                                      self.clock_period, graph=self.graph)
+                                      self.clock_period, graph=self.graph,
+                                      start=inputs.sta)
         get_metrics().counter("serve.sessions_opened").inc()
         logger.info("session %s: %d endpoints, %d cells", self.name,
                     self.sample.n_endpoints, len(self.netlist.cells))

@@ -48,6 +48,7 @@ name or a ``PreRouteDesign``          when the build or replay raises
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -183,13 +184,22 @@ def worker_main(conn, worker_id: int, config,
         scenario=config.scenario)
 
     def open_design(design: str, spec, seed: int, replay) -> None:
+        # The build runs with the collector off, as a ``--workers 0``
+        # boot does (see ``repro.cli``): it makes long-lived objects,
+        # not garbage.  A built session is frozen out of later passes
+        # (with whatever the fork inherited), and the collector is on
+        # again before the design is reported ready.
+        gc.disable()
         try:
             session = factory.open(spec, seed=seed, replay=replay)
         except Exception as exc:
+            gc.enable()
             # Reported, not raised: the gateway decides whether a
             # design that cannot be built ends the boot.
             send(("open_failed", design, f"{type(exc).__name__}: {exc}"))
             return
+        gc.freeze()
+        gc.enable()
         # Publish only once fully materialized (journal replayed).
         sessions[design] = session
         send(("ready", design, session.describe()))
@@ -202,6 +212,7 @@ def worker_main(conn, worker_id: int, config,
             "designs": sorted(sessions),
             "weights_read_only": bool(params) and all(
                 not p.data.flags.writeable for p in params),
+            "collector_enabled": gc.isenabled(),
             "microbatch": batcher.describe() if batcher else None,
         }
 

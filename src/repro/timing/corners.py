@@ -36,6 +36,7 @@ pre-corner code path.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -283,10 +284,12 @@ def _derate_cell(cell: CellType, factor: float) -> CellType:
     )
 
 
-# Derated libraries are cached per (base library identity, corner) so the
-# NLDM batch cache — itself keyed by id(library) — sees one stable object
-# per corner instead of a fresh library per STA call.
-_DERATED: Dict[Tuple[int, Corner], CellLibrary] = {}
+# Derated libraries are cached per (base library, corner), weakly keyed by
+# the base library, so the NLDM batch cache sees one stable object per
+# corner instead of a fresh library per STA call, and an entry goes with
+# its base library.
+# Base library -> {corner: derated library}.
+_DERATED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _DERATED_LOCK = threading.Lock()
 
 
@@ -303,9 +306,8 @@ def derate_library(library: CellLibrary,
     corner = resolve_corner(corner)
     if corner.is_identity:
         return library
-    key = (id(library), corner)
     with _DERATED_LOCK:
-        cached = _DERATED.get(key)
+        cached = _DERATED.get(library, {}).get(corner)
         if cached is not None:
             return cached
     factor = corner.delay_factor
@@ -315,6 +317,4 @@ def derate_library(library: CellLibrary,
         wire=library.wire,
     )
     with _DERATED_LOCK:
-        # Pin the base library via the values dict is not needed: entries
-        # are few (corners × libraries) and libraries live process-long.
-        return _DERATED.setdefault(key, derated)
+        return _DERATED.setdefault(library, {}).setdefault(corner, derated)

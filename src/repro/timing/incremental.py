@@ -13,6 +13,11 @@ Structural edits (buffering, decomposition, cloning) change the node set
 and require :meth:`IncrementalSTA.rebuild`, which builds a new graph.
 Sizing and moves never touch the graph, so a caller that already holds
 the netlist's graph (a serving session) passes it in and shares it.
+A caller that also holds a full :func:`~repro.timing.sta.run_sta` of
+the same netlist and placement (a serving boot's pre-route STA) passes
+that as ``start=``: arrival propagation does not depend on the clock,
+so the incremental STA takes the run's state over and only times the
+required-time pass at its own clock.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.timing.sta import (
     _argmax_per_dst,
     _pin_statics,
 )
+from repro.utils import require
 
 
 class IncrementalSTA:
@@ -46,7 +52,14 @@ class IncrementalSTA:
     def __init__(self, netlist: Netlist, placement: Placement,
                  clock_period: float,
                  wires: Optional[WireLengthProvider] = None,
-                 graph: Optional[TimingGraph] = None) -> None:
+                 graph: Optional[TimingGraph] = None,
+                 start: Optional[STAResult] = None) -> None:
+        """*start*, when given, is a :func:`~repro.timing.sta.run_sta`
+        result over *netlist* and *placement* with these *wires*, the
+        nominal library and no constraints, at any clock (a serving
+        boot's pre-route STA).  This STA then owns and updates its
+        arrays in place, so the caller must not read them afterwards.
+        """
         self.netlist = netlist
         self.placement = placement
         self.clock_period = clock_period
@@ -54,27 +67,56 @@ class IncrementalSTA:
         self.partial_updates = 0
         self.full_rebuilds = 0
         self._dirty: Set[int] = set()
-        #: The netlist's timing graph: *graph* when given (read only
-        #: here), else built.  Only :meth:`rebuild` replaces it.
+        if start is not None:
+            require(graph is None or graph is start.graph,
+                    "start STA ran on another graph")
+            graph = start.graph
+        #: The netlist's timing graph: *graph* (or *start*'s) when given
+        #: (read only here), else built.  Only :meth:`rebuild` replaces
+        #: it.
         self.graph: TimingGraph = (graph if graph is not None
                                    else build_timing_graph(netlist))
-        self._build()
+        if start is None:
+            self._build()
+        else:
+            self._adopt(start)
 
     # ------------------------------------------------------------------
     # Construction / static state
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        g = self.graph
+    def _setup(self) -> None:
+        """What both ways of starting share."""
         nl = self.netlist
         self._nldm = batch_nldm_for(nl.library)
-        n = g.n_nodes
         self._po_pins = {p.pin for p in nl.primary_outputs()}
+        self._edge_of_sink = self.graph.net_edge_of_sink
+
+    def _adopt(self, start: STAResult) -> None:
+        """Start from *start*'s static data and propagation; run only
+        the required-time pass at this STA's clock."""
+        require(start.pin_cap is not None,
+                "start STA carries no static pin data")
+        self._setup()
+        self._pin_cap = start.pin_cap
+        self._out_type = start.out_type_id
+        self._wire_len = start.wire_len
+        self._wire_delay = start.net_delay
+        self._load = start.load
+        self._cell_delay = start.cell_delay
+        self._arrival = start.arrival
+        self._slew = start.slew
+        self._best_pred = start.best_pred
+        self.result = self._package()
+
+    def _build(self) -> None:
+        g = self.graph
+        self._setup()
+        n = g.n_nodes
 
         self._pin_cap = np.zeros(n)
         self._out_type = np.zeros(n, dtype=np.int64)
         self._refresh_static(np.arange(n))
 
-        self._edge_of_sink = g.net_edge_of_sink
         self._wire_len = edge_lengths(self.wires, g.pin_ids[g.net_edge_src],
                                       g.pin_ids[g.net_edge_dst])
         self._recompute_wire_terms()

@@ -9,6 +9,7 @@ single bilinear-interpolation call.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Tuple
 
 import numpy as np
@@ -68,12 +69,15 @@ class BatchNLDM:
         return interp(self.delay_values), interp(self.slew_values)
 
 
-_CACHE: Dict[int, BatchNLDM] = {}
+#: Keyed by the library object itself, weakly: an entry lives exactly as
+#: long as its library, so a library built later at a freed one's
+#: address never finds the freed one's tables.
+_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def batch_nldm_for(library: CellLibrary) -> BatchNLDM:
     """Per-library cached :class:`BatchNLDM` instance."""
-    key = id(library)
-    if key not in _CACHE:
-        _CACHE[key] = BatchNLDM(library)
-    return _CACHE[key]
+    nldm = _CACHE.get(library)
+    if nldm is None:
+        nldm = _CACHE[library] = BatchNLDM(library)
+    return nldm

@@ -45,6 +45,13 @@ class STAResult:
     # Per-edge delays in the graph's net / cell edge order, ps.
     net_delay: Optional[np.ndarray] = None    # (E_n,)
     cell_delay: Optional[np.ndarray] = None   # (E_c,)
+    # The static data the sweep read: pin caps (fF), cell-output NLDM
+    # type ids, and net-edge wire lengths (µm).  An incremental STA on
+    # the same graph, wires and library starts from them
+    # (:class:`~repro.timing.incremental.IncrementalSTA`, ``start=``).
+    pin_cap: Optional[np.ndarray] = None      # (n,)
+    out_type_id: Optional[np.ndarray] = None  # (n,)
+    wire_len: Optional[np.ndarray] = None     # (E_n,)
 
     @cached_property
     def net_edge_delay(self) -> Dict[Tuple[int, int], float]:
@@ -346,4 +353,7 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
         endpoint_slack=endpoint_slack,
         net_delay=wire_delay,
         cell_delay=cell_delay,
+        pin_cap=pin_cap,
+        out_type_id=out_type_id,
+        wire_len=wire_len,
     )

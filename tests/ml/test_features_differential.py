@@ -114,8 +114,8 @@ def frozen_node_features(netlist, placement, graph):
 
 @pytest.mark.parametrize("name,seed,scale", CASES)
 def test_node_features_match_frozen(name, seed, scale):
-    pre, graph = run_pre_route(name, FlowConfig(scale=scale, base_seed=seed))
-    nl, pl = pre.input_netlist, pre.input_placement
+    pre, sta = run_pre_route(name, FlowConfig(scale=scale, base_seed=seed))
+    nl, pl, graph = pre.input_netlist, pre.input_placement, sta.graph
     ref_cell, ref_net = frozen_node_features(nl, pl, graph)
     for partition in (None, 64):
         x_cell, x_net = node_features(nl, pl, graph, partition=partition)
@@ -125,8 +125,8 @@ def test_node_features_match_frozen(name, seed, scale):
 
 @pytest.mark.parametrize("name", ["xgate", "chacha", "rocket"])
 def test_refreshed_rows_match_frozen_after_moves(name):
-    pre, graph = run_pre_route(name, FlowConfig(scale=0.25))
-    nl, pl = pre.input_netlist, pre.input_placement
+    pre, sta = run_pre_route(name, FlowConfig(scale=0.25))
+    nl, pl, graph = pre.input_netlist, pre.input_placement, sta.graph
     x_cell, x_net = node_features(nl, pl, graph)
     bins = 16
     feat = IncrementalFeaturizer(

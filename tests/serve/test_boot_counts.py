@@ -1,12 +1,15 @@
-"""A boot builds each served design's timing graph once and walks its
-endpoint critical paths once.
+"""A boot builds each served design's timing graph once, walks its
+endpoint critical paths once and sweeps its timing once.
 
-The pre-route STA builds the input netlist's graph; featurization, the
-session's incremental featurizer and its incremental STA all reuse it,
-and the session keeps the paths featurization walked.  Counted with the
-tracer's ``timing.graph.build`` spans (one per graph built, tagged with
-the design) and a spy on :func:`repro.core.masking.build_endpoint_paths`
-wherever a module bound it, on every boot path a server takes:
+The pre-route STA builds the input netlist's graph and propagates it;
+featurization, the session's incremental featurizer and its incremental
+STA all reuse the graph, the session keeps the paths featurization
+walked, and its incremental STA starts from the pre-route STA's state
+instead of sweeping again.  Counted with the tracer's
+``timing.graph.build`` and ``sta.run`` spans (tagged with the design), a
+spy on :func:`repro.core.masking.build_endpoint_paths` wherever a module
+bound it and a spy on the incremental STA's sweep, on every boot path a
+server takes:
 
 * ``--workers 0``: ``boot_designs`` (in process, and pooled), then
   ``SessionFactory.open`` on the boot's pre-route design and inputs;
@@ -14,6 +17,10 @@ wherever a module bound it, on every boot path a server takes:
 * the same by-name open at three corners;
 * a model-less bootstrap boot, whose training samples are a labeled
   copy of the serving inputs.
+
+Every process characterizes the cell library once: the default library
+pickles by reference, so a pooled boot's netlists arrive bound to the
+parent's own.
 """
 
 from __future__ import annotations
@@ -27,11 +34,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.liberty.library as library_module
 from repro.core import masking
 from repro.flow import FlowConfig, run_scenario_flow
+from repro.liberty import CellLibrary
 from repro.ml import boot_designs, build_corner_samples, dataset
 from repro.obs import get_tracer
 from repro.serve import SessionFactory
+from repro.timing import IncrementalSTA
 
 from .conftest import MAP_BINS
 
@@ -42,10 +52,12 @@ THREE_CORNERS = ("base", "slow", "fast")
 
 @contextmanager
 def counting(monkeypatch):
-    """Yield ``(graph_builds, walks)`` counters keyed by design; filled
-    in when the block exits."""
+    """Yield ``(graph_builds, walks, sweeps)`` counters keyed by design;
+    filled in when the block exits.  *sweeps* counts full STA runs
+    (``sta.run`` spans) and incremental-STA sweeps alike."""
     walk = masking.build_endpoint_paths
     walks: Counter = Counter()
+    sweeps: Counter = Counter()
 
     def spy(name, graph, seed=0):
         walks[name] += 1
@@ -55,16 +67,25 @@ def counting(monkeypatch):
         if (getattr(module, "__name__", "").startswith("repro")
                 and getattr(module, "build_endpoint_paths", None) is walk):
             monkeypatch.setattr(module, "build_endpoint_paths", spy)
+    sweep = IncrementalSTA._sweep
+
+    def sweep_spy(self, start_level):
+        sweeps[self.netlist.name] += 1
+        return sweep(self, start_level)
+
+    monkeypatch.setattr(IncrementalSTA, "_sweep", sweep_spy)
     tracer = get_tracer()
     was_enabled = tracer.enabled
     tracer.reset()
     tracer.enable()
     builds: Counter = Counter()
     try:
-        yield builds, walks
-        builds.update(e["attrs"]["design"] for e in tracer.events()
-                      if e.get("type") == "span"
-                      and e["name"] == "timing.graph.build")
+        yield builds, walks, sweeps
+        spans = [e for e in tracer.events() if e.get("type") == "span"]
+        builds.update(e["attrs"]["design"] for e in spans
+                      if e["name"] == "timing.graph.build")
+        sweeps.update(e["attrs"]["design"] for e in spans
+                      if e["name"] == "sta.run")
     finally:
         tracer.reset()
         if not was_enabled:
@@ -79,7 +100,7 @@ def assert_one_graph(session) -> None:
 
 def test_in_process_boot_then_open(monkeypatch, served_predictor):
     factory = SessionFactory(lambda: served_predictor, flow_config=CFG)
-    with counting(monkeypatch) as (builds, walks):
+    with counting(monkeypatch) as (builds, walks, sweeps):
         built, report = boot_designs(DESIGNS, CFG, map_bins=MAP_BINS,
                                      jobs=1)
         assert report.ok
@@ -87,6 +108,7 @@ def test_in_process_boot_then_open(monkeypatch, served_predictor):
                     for pre, inputs, _ in built]
     assert builds == Counter({d: 1 for d in DESIGNS})
     assert walks == Counter({d: 1 for d in DESIGNS})
+    assert sweeps == Counter({d: 1 for d in DESIGNS})
     for session, (_, inputs, _) in zip(sessions, built):
         assert_one_graph(session)
         assert session.graph is inputs.graph
@@ -100,7 +122,7 @@ def test_pooled_boot_ships_the_graph_and_paths(monkeypatch,
     walks nothing itself (the workers' graph builds reach the parent
     trace as merged spans)."""
     factory = SessionFactory(lambda: served_predictor, flow_config=CFG)
-    with counting(monkeypatch) as (builds, walks):
+    with counting(monkeypatch) as (builds, walks, sweeps):
         built, report = boot_designs(DESIGNS, CFG, map_bins=MAP_BINS,
                                      jobs=2)
         assert report.ok and report.jobs == 2
@@ -108,8 +130,41 @@ def test_pooled_boot_ships_the_graph_and_paths(monkeypatch,
                     for pre, inputs, _ in built]
     assert builds == Counter({d: 1 for d in DESIGNS})
     assert not walks, "the parent walked paths the workers shipped"
+    # The workers' STA runs, merged; the sessions sweep nothing.
+    assert sweeps == Counter({d: 1 for d in DESIGNS})
     for session in sessions:
         assert_one_graph(session)
+        session.close()
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pooled"])
+def test_one_library_per_process(monkeypatch, served_predictor, jobs):
+    """The boot's process characterizes the library once, and every
+    netlist it serves (a pooled boot's unpickled ones included) is
+    bound to that one library."""
+    characterize = library_module.characterize_all
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return characterize()
+
+    # A process that has not characterized yet (forked workers inherit
+    # this state and characterize once each, in their own process).
+    monkeypatch.setattr(library_module, "_DEFAULT", None)
+    monkeypatch.setattr(library_module, "characterize_all", counted)
+    factory = SessionFactory(lambda: served_predictor, flow_config=CFG)
+    built, report = boot_designs(DESIGNS, CFG, map_bins=MAP_BINS,
+                                 jobs=jobs)
+    assert report.ok and report.jobs == jobs
+    sessions = [factory.open(pre, sample=inputs)
+                for pre, inputs, _ in built]
+    assert len(calls) == 1
+    lib = CellLibrary.default()
+    for session, (pre, inputs, _) in zip(sessions, built):
+        assert pre.input_netlist.library is lib
+        assert inputs.graph.netlist.library is lib
+        assert session.sta.graph.netlist.library is lib
         session.close()
 
 
@@ -125,7 +180,7 @@ def test_bootstrap_boot_walks_once(monkeypatch):
     """A model-less bootstrap boot labels a copy of the serving inputs:
     one walk per design, and the same samples a fresh
     ``build_corner_samples`` builds."""
-    with counting(monkeypatch) as (builds, walks):
+    with counting(monkeypatch) as (builds, walks, _):
         built, report = boot_designs(DESIGNS, CFG, map_bins=MAP_BINS,
                                      train_bins=MAP_BINS, jobs=1)
         assert report.ok
@@ -183,10 +238,11 @@ def test_open_by_name(monkeypatch, corners, served_predictor,
                                                     corners=corners)
     factory = SessionFactory(lambda: predictor, flow_config=config,
                              corners=corners)
-    with counting(monkeypatch) as (builds, walks):
+    with counting(monkeypatch) as (builds, walks, sweeps):
         session = factory.open("xgate")
     assert builds == Counter({"xgate": 1})
     assert walks == Counter({"xgate": 1})
+    assert sweeps == Counter({"xgate": 1})
     assert session.corners == (corners or ("base",))
     assert_one_graph(session)
     session.close()

@@ -42,6 +42,8 @@ from repro.serve import TimingGateway
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
 
 def probe(gateway, *args, **kwargs):
+    # The boot froze what it built, and a census skips frozen objects.
+    gc.unfreeze()
     gc.collect()
     objs = gc.get_objects()
     sessions = gateway.fleet.dispatcher.sessions
@@ -92,6 +94,8 @@ from repro.netlist import Netlist
 from repro.serve import TimingGateway
 
 def probe(gateway, *args, **kwargs):
+    # The boot froze what it built, and a census skips frozen objects.
+    gc.unfreeze()
     gc.collect()
     objs = gc.get_objects()
     children = [int(pid) for path in glob.glob(
