@@ -90,7 +90,8 @@ def _drain_ops():
     op-level numbers of *its own* benchmark, not the whole session.
     """
     global _ops_cursor
-    from repro.obs import aggregate_trace, get_tracer
+    from repro.obs import get_tracer
+    from repro.obs.profile import aggregate_trace
 
     tracer = get_tracer()
     events, emitted = tracer.events(), tracer.emitted

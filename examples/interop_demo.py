@@ -10,16 +10,16 @@ back, and confirm STA agrees bit-for-bit.
 import io
 
 from repro.flow import FlowConfig, run_flow
-from repro.netlist import parse_verilog, write_verilog
+from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.placement.defio import read_def, write_def
 from repro.timing import (
     PreRouteEstimator,
     TimingConstraints,
     build_timing_graph,
     parse_sdc,
-    report_timing,
     run_sta,
 )
+from repro.timing.report import report_timing
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ the predictor is trained against.
 import numpy as np
 
 from repro.flow import FlowConfig, run_flow
-from repro.netlist import compute_stats
+from repro.netlist.stats import compute_stats
 
 
 def main() -> None:

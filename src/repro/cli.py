@@ -219,7 +219,7 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 def cmd_flow(args) -> int:
     from repro.flow import FlowConfig, run_flow
-    from repro.netlist import compute_stats
+    from repro.netlist.stats import compute_stats
 
     flow = run_flow(args.design, FlowConfig(
         with_opt=not args.no_opt, scale=args.scale, base_seed=args.seed))
@@ -240,7 +240,7 @@ def cmd_flow(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.flow import FlowConfig, run_flow
-    from repro.timing import report_timing
+    from repro.timing.report import report_timing
 
     flow = run_flow(args.design, FlowConfig(scale=args.scale))
     print(report_timing(flow.signoff_sta, n_paths=args.paths))
@@ -445,7 +445,6 @@ def _serve(args, collector: _BootCollector) -> int:
 
     from repro.core import ModelConfig, TimingPredictor, TrainerConfig
     from repro.flow import FlowConfig
-    from repro.ml.dataset import boot_designs
     from repro.serve import (
         FleetConfig,
         FleetOpenFailed,
@@ -484,23 +483,24 @@ def _serve(args, collector: _BootCollector) -> int:
     flow_config = FlowConfig(scale=args.scale, base_seed=args.seed,
                              corners=corner_set.specs,
                              partition_pins=args.partition_pins)
-    if have_model and args.workers > 0:
-        # Each fleet worker builds its own shard's designs by name
-        # (SessionFactory.open runs the pre-route stages there), so this
-        # process builds nothing and its workers inherit no design.
+    if have_model:
+        # Every design is built by name where its session lives
+        # (SessionFactory.open runs the pre-route stages there): in this
+        # process with --workers 0, in its fleet worker otherwise.
         designs, inputs, train = {d: d for d in args.designs}, {}, []
     else:
-        # One forked task per design builds its PreRouteDesign (plus,
-        # for in-process sessions, the model inputs).  With a model only
-        # the pre-route stages run; without one the full flow runs for
-        # the labeled bootstrap samples.  The pool has exited before
-        # anything below binds, starts a thread or forks.
+        # One forked task per design runs the full flow for the labeled
+        # bootstrap samples and keeps its PreRouteDesign (plus, for
+        # in-process sessions, the model inputs).  The pool has exited
+        # before anything below binds, starts a thread or forks.
+        from repro.ml.dataset import boot_designs
+
         built, report = boot_designs(
             args.designs, flow_config, scenario=args.scenario,
             map_bins=map_bins if args.workers == 0 else None,
             seed=args.seed, partition_pins=args.partition_pins,
             jobs=min(len(os.sched_getaffinity(0)), len(args.designs)),
-            train_bins=None if have_model else map_bins)
+            train_bins=map_bins)
         if report.failed:
             details = "; ".join(f"{s.design}: {s.error}"
                                 for s in report.failed)
@@ -571,8 +571,19 @@ def _serve(args, collector: _BootCollector) -> int:
                                  corners=corner_names,
                                  default_seed=args.seed,
                                  scenario=args.scenario)
-        sessions = {d: factory.open(designs[d], sample=inputs[d])
-                    for d in args.designs}
+        sessions, failures = {}, {}
+        for d in args.designs:
+            try:
+                sessions[d] = factory.open(designs[d], sample=inputs.get(d))
+            except Exception as exc:
+                failures[d] = f"{type(exc).__name__}: {exc}"
+        if failures:
+            if batcher is not None:
+                batcher.stop()
+            # The fleet's error line, for the same failure.
+            print(f"error: flow failed for {FleetOpenFailed(failures)}",
+                  file=sys.stderr)
+            return 1
         # The sessions own their designs now, so a session evicted by
         # DELETE or the idle TTL leaves nothing of its design behind.
         del designs, inputs
@@ -606,7 +617,8 @@ def cmd_profile(args) -> int:
 
     from repro.core import ModelConfig, TimingPredictor, TrainerConfig
     from repro.flow import FlowConfig, run_flow
-    from repro.obs import aggregate_trace, configure_tracing, get_metrics
+    from repro.obs import configure_tracing, get_metrics
+    from repro.obs.profile import aggregate_trace
 
     configure_tracing(enabled=True, jsonl_path=str(args.trace_out))
     predictor = TimingPredictor(

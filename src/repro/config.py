@@ -1,4 +1,11 @@
-"""Configuration of the layout-gated timing optimizer."""
+"""Knobs of the flow's optimizer and router stages, and nothing else.
+
+:class:`~repro.flow.FlowConfig` holds one of each, so every process that
+configures a flow imports this module; keeping it free of the stages
+themselves lets a process that never optimizes or routes (a server
+booting on a trained model) leave :mod:`repro.opt` and
+:mod:`repro.route` unimported.
+"""
 
 from __future__ import annotations
 
@@ -49,4 +56,20 @@ class OptimizerConfig:
     recovery_fraction: float = 0.06
     #: Bins of the free-space map used for gating.
     gate_bins: int = 32
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class RouterConfig:
+    """Tuning knobs of the global router (:func:`repro.route.route`)."""
+
+    gcell_um: float = 4.0        # GCell edge length
+    #: Track capacity per GCell edge, as a multiple of the average demand
+    #: (lower → more overflow → more detours).
+    capacity_headroom: float = 2.0
+    #: Detour wirelength per unit of overflow crossed, in µm per GCell.
+    detour_per_overflow: float = 3.0
+    #: Amplitude of the deterministic detailed-routing jitter (fraction of
+    #: the routed length).
+    jitter: float = 0.02
     seed: int = 0

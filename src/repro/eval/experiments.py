@@ -23,7 +23,7 @@ from repro.eval.metrics import r2_score
 from repro.eval.tables import format_table
 from repro.flow import FlowConfig, run_flow
 from repro.ml.sample import DesignSample
-from repro.netlist import compute_stats
+from repro.netlist.stats import compute_stats
 from repro.utils import get_logger
 
 logger = get_logger("eval.experiments")

@@ -17,15 +17,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.config import OptimizerConfig, RouterConfig
 from repro.netlist import DESIGN_PRESETS, DesignSpec, Netlist
-from repro.opt import OptimizerConfig, OptReport
 from repro.placement import Placement, PlacerConfig
 from repro.placement.density import LayoutMaps
-from repro.route import RouterConfig, RoutingResult
 from repro.timing import CornerSet, STAResult
 from repro.utils import StageTimer, require
+
+if TYPE_CHECKING:   # annotations only: a pre-route build never runs them
+    from repro.opt import OptReport
+    from repro.route import RoutingResult
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,10 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.netlist import DesignSpec, Netlist, generate_netlist
 from repro.obs import get_metrics
-from repro.opt import OptReport, TimingOptimizer
 from repro.placement import (
     Placement,
     build_die,
@@ -57,7 +56,6 @@ from repro.placement import (
 )
 from repro.placement.density import LayoutMaps
 from repro.placement.die import Die
-from repro.route import RoutingResult, route
 from repro.timing import (
     PreRouteEstimator,
     STAResult,
@@ -66,6 +64,10 @@ from repro.timing import (
 )
 from repro.utils import StageTimer
 from repro.flow.store import StageStore
+
+if TYPE_CHECKING:
+    from repro.opt import OptReport
+    from repro.route import RoutingResult
 
 __all__ = [
     "GenerateArtifact",
@@ -362,6 +364,9 @@ class StagedFlow:
             opt_report: Optional[OptReport] = None
             duration = 0.0
             if self.config.with_opt:
+                # Imported where it runs: a pre-route build never does.
+                from repro.opt import TimingOptimizer
+
                 with self.timer.stage("opt") as timed:
                     optimizer = TimingOptimizer(opt_netlist, opt_placement,
                                                 self.config.optimizer)
@@ -381,6 +386,8 @@ class StagedFlow:
                                 dict(router=asdict(self.config.router)))
 
         def build(key: str) -> RouteArtifact:
+            from repro.route import route
+
             with self.timer.stage("route") as timed:
                 routing = route(opt.opt_netlist, opt.opt_placement,
                                 self.config.router)
@@ -465,6 +472,8 @@ class StagedFlow:
             opt_placement = Placement(
                 die=prev_opt.opt_placement.die,
                 cell_xy=dict(prev_opt.opt_placement.cell_xy))
+            from repro.opt import TimingOptimizer
+
             with self.timer.stage("opt") as timed:
                 optimizer = TimingOptimizer(opt_netlist, opt_placement,
                                             self.config.optimizer)

@@ -27,11 +27,6 @@ from repro.ml.features import (
     node_features,
     validate_node_features,
 )
-from repro.ml.parallel import (
-    BuildReport,
-    DesignBuildStatus,
-    run_design_tasks,
-)
 from repro.ml.sample import DesignSample, LevelPlan
 
 __all__ = [
@@ -56,9 +51,6 @@ __all__ = [
     "chunk_feature_block",
     "node_features",
     "validate_node_features",
-    "BuildReport",
-    "DesignBuildStatus",
-    "run_design_tasks",
     "DesignSample",
     "LevelPlan",
 ]

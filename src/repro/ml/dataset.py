@@ -25,7 +25,6 @@ from repro.flow import (
     run_flow,
 )
 from repro.ml.features import node_features
-from repro.ml.parallel import run_design_tasks
 from repro.ml.sample import DesignSample, LevelPlan
 from repro.netlist import DESIGN_PRESETS
 from repro.obs import get_metrics, get_tracer
@@ -544,6 +543,8 @@ def build_dataset_report(designs: List[str],
     ``"raise"`` or ``"crash"``; the fault fires on the first attempt
     only).
     """
+    from repro.ml.parallel import run_design_tasks
+
     flow_config = flow_config or FlowConfig(base_seed=seed)
     per_design, report = run_design_tasks(
         load_or_build_samples, designs,
@@ -628,10 +629,15 @@ def boot_designs(designs: List[str], flow_config: FlowConfig,
                  map_bins: Optional[int] = None, seed: int = 0,
                  partition_pins: Optional[int] = None, jobs: int = 1,
                  train_bins: Optional[int] = None):
-    """The ``repro serve`` boot: each design's flow, ``jobs`` at a time.
+    """Each design's serving boot, ``jobs`` at a time.
 
-    Without *train_bins* each design runs only its pre-route stages;
-    with it (a model-less bootstrap) each runs the full flow.  Returns
+    ``repro serve`` calls this only to bootstrap without a model, with
+    *train_bins* set: each design then runs the full flow for its
+    labels.  A server with a model opens every design by name instead
+    (:meth:`repro.serve.SessionFactory.open`, in its own process or in
+    each fleet worker); without *train_bins* this runs the same
+    pre-route stages, so its results are what such a session must
+    equal.  Returns
     ``(results, report)``; *results* is aligned with *designs* and holds
     ``(pre_route, inputs, train)`` per design, or ``None`` for a design
     whose build failed.  *pre_route* is the design's
@@ -646,6 +652,10 @@ def boot_designs(designs: List[str], flow_config: FlowConfig,
     :func:`repro.ml.parallel.run_design_tasks`) has exited by the time
     this returns.
     """
+    # Imported where it runs: a server that boots on a model never does
+    # (with it, ``multiprocessing`` stays unimported).
+    from repro.ml.parallel import run_design_tasks
+
     return run_design_tasks(
         _boot_design, designs,
         (flow_config, scenario, map_bins, seed, partition_pins, train_bins),

@@ -1,4 +1,9 @@
-"""Gate-level netlist structures, synthetic generation and Verilog I/O."""
+"""Gate-level netlist structures and synthetic generation.
+
+Verilog I/O (:mod:`repro.netlist.verilog`) and netlist statistics
+(:mod:`repro.netlist.stats`) are imported from their own modules: no
+flow or server runs them.
+"""
 
 from repro.netlist.netlist import IN, OUT, CellInst, Net, Netlist, Pin, Port
 from repro.netlist.generator import (
@@ -11,8 +16,6 @@ from repro.netlist.generator import (
     generate_netlist,
     generate_preset,
 )
-from repro.netlist.stats import NetlistStats, compute_stats
-from repro.netlist.verilog import parse_verilog, write_verilog
 
 __all__ = [
     "IN",
@@ -30,8 +33,4 @@ __all__ = [
     "MacroSpec",
     "generate_netlist",
     "generate_preset",
-    "NetlistStats",
-    "compute_stats",
-    "parse_verilog",
-    "write_verilog",
 ]

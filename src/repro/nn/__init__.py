@@ -3,7 +3,8 @@
 Layers cache inputs on a LIFO stack, so a layer may be applied many times
 (e.g. once per topological level in the GNN) before gradients flow back in
 reverse order.  All backward passes are verified against numerical
-gradients in the test suite.
+gradients in the test suite (:mod:`repro.nn.gradcheck`, imported from
+its own module).
 """
 
 from repro.nn.module import (
@@ -21,7 +22,6 @@ from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.optim import SGD, Adam
 from repro.nn.init import kaiming_uniform, xavier_uniform
-from repro.nn.gradcheck import check_layer_gradients, numerical_grad
 from repro.nn.workspace import (
     Workspace,
     current_workspace,
@@ -56,6 +56,4 @@ __all__ = [
     "Adam",
     "kaiming_uniform",
     "xavier_uniform",
-    "check_layer_gradients",
-    "numerical_grad",
 ]

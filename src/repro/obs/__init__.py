@@ -18,7 +18,8 @@ Zero-dependency (stdlib-only) subsystem with three layers:
 ``repro.obs.profile``
     Aggregates a recorded trace into the per-stage runtime table of the
     paper's Table III (flow stages place/opt/route/sta vs. predictor
-    stages pre/infer).
+    stages pre/infer).  Not re-exported here: only ``repro profile``
+    and the benchmarks aggregate a trace, so they import the submodule.
 """
 
 from repro.obs.merge import (
@@ -33,7 +34,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_metrics,
 )
-from repro.obs.profile import ProfileReport, aggregate_trace, load_trace
 from repro.obs.trace import (
     Span,
     TraceLogHandler,
@@ -52,9 +52,6 @@ __all__ = [
     "fold_metrics_snapshot",
     "merge_worker_traces",
     "worker_trace_path",
-    "ProfileReport",
-    "aggregate_trace",
-    "load_trace",
     "Span",
     "TraceLogHandler",
     "Tracer",

@@ -1,6 +1,6 @@
 """Layout-gated timing optimizer (structure-preserved + destructed moves)."""
 
-from repro.opt.config import OptimizerConfig
+from repro.config import OptimizerConfig
 from repro.opt.moves import (
     clone_driver,
     decompose_gate,

@@ -24,9 +24,9 @@ from typing import Optional, Set
 
 import numpy as np
 
+from repro.config import OptimizerConfig
 from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
-from repro.opt.config import OptimizerConfig
 from repro.opt.moves import (
     clone_driver,
     decompose_gate,

@@ -1,4 +1,8 @@
-"""Placement substrate: floorplan, global placer, legalizer, feature maps."""
+"""Placement substrate: floorplan, global placer, legalizer, feature maps.
+
+DEF-lite I/O is imported from :mod:`repro.placement.defio`: no flow or
+server runs it.
+"""
 
 from repro.placement.die import ROW_HEIGHT, Die, Rect, build_die
 from repro.placement.placer import Placement, PlacerConfig, place
@@ -21,7 +25,6 @@ from repro.placement.density import (
     recompute_density_region,
     recompute_rudy_region,
 )
-from repro.placement.defio import read_def, write_def
 
 __all__ = [
     "ROW_HEIGHT",
@@ -46,6 +49,4 @@ __all__ = [
     "compute_layout_maps",
     "recompute_density_region",
     "recompute_rudy_region",
-    "read_def",
-    "write_def",
 ]

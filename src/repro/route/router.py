@@ -18,31 +18,16 @@ small deterministic detailed-routing jitter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.config import RouterConfig
 from repro.netlist import Netlist
 from repro.placement import Placement
 from repro.timing import RoutedLengths
 from repro.utils import require, seed_from_name
-
-
-@dataclass(frozen=True)
-class RouterConfig:
-    """Tuning knobs of the global router."""
-
-    gcell_um: float = 4.0        # GCell edge length
-    #: Track capacity per GCell edge, as a multiple of the average demand
-    #: (lower → more overflow → more detours).
-    capacity_headroom: float = 2.0
-    #: Detour wirelength per unit of overflow crossed, in µm per GCell.
-    detour_per_overflow: float = 3.0
-    #: Amplitude of the deterministic detailed-routing jitter (fraction of
-    #: the routed length).
-    jitter: float = 0.02
-    seed: int = 0
 
 
 @dataclass

@@ -47,11 +47,10 @@ there is no internal locking to reason about.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.flow import FlowConfig, FlowResult, PreRouteDesign
@@ -61,7 +60,7 @@ from repro.serve.dispatch import (
     unknown_design_error,
 )
 from repro.serve.session import DesignSession
-from repro.serve.worker import freeze_weights, worker_main
+from repro.serve.worker import freeze_weights, limit_blas_threads, worker_main
 from repro.utils import get_logger, require
 
 logger = get_logger("serve.fleet")
@@ -223,6 +222,12 @@ class TimingFleet:
             d: [] for d in self.flows}
         self.pending: Dict[int, Any] = {}   # rid → _Proxied | (_Fanout, kind)
         self._rid = 0
+        #: Each worker's share of the CPUs for its BLAS calls, set by
+        #: :meth:`start` (``None``: BLAS left as it is).
+        self.blas_threads: Optional[int] = None
+        # Imported here: a ``--workers 0`` server never builds a fleet.
+        import multiprocessing
+
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
@@ -235,10 +240,20 @@ class TimingFleet:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TimingFleet":
-        """Spawn workers, shard the designs, block until sessions open."""
+        """Spawn workers, shard the designs, block until sessions open.
+
+        Caps this process's BLAS threads at one worker's share of the
+        CPUs first, so the forked workers inherit it (a gateway runs no
+        BLAS of its own).
+        """
+        from multiprocessing.connection import wait
+
         require(not self._started, "fleet already started")
         self._started = True
         n = min(self.config.workers, len(self.flows))
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        self.blas_threads = limit_blas_threads(max(1, cpus // n))
         for wid in range(n):
             self.workers.append(self._spawn(wid))
         for i, design in enumerate(sorted(self.flows)):
@@ -281,10 +296,14 @@ class TimingFleet:
     def _spawn(self, worker_id: int) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         # Under fork the arguments are inherited, not pickled: the
-        # worker's weights are this process's payload arrays.
+        # worker's weights are this process's payload arrays, and it
+        # closes the copies of this process's pipe ends that it gets.
+        inherited = ([parent_conn] + [w.conn for w in self.workers]
+                     if self._ctx.get_start_method() == "fork" else [])
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker_id, self.config, self.payload),
+            args=(child_conn, worker_id, self.config, self.payload,
+                  os.getpid(), inherited, self.blas_threads),
             name=f"repro-fleet-w{worker_id}",
             daemon=True)
         process.start()

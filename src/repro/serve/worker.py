@@ -53,11 +53,15 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.obs import get_metrics, get_tracer
 from repro.obs.merge import worker_trace_path
 from repro.obs.trace import configure_tracing
+
+#: Seconds an idle worker waits on its pipe before it checks that the
+#: gateway that forked it is still its parent.
+PARENT_CHECK_S = 1.0
 
 
 def freeze_weights(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -84,13 +88,57 @@ def shared_predictor(payload: Dict[str, Any], precision: str):
     return predictor
 
 
+def limit_blas_threads(threads: int) -> Optional[int]:
+    """Cap numpy's bundled OpenBLAS at *threads* threads in this process.
+
+    The library reads no environment variable after it loads.  The
+    fleet calls this before it forks, so the workers inherit the cap: a
+    forked child has no BLAS thread pool, and setting the count there
+    starts one whose threads spin for about 0.1 s of CPU, so an equal
+    count is left alone.  Returns *threads*, or ``None`` (and changes
+    nothing) where numpy ships no ``scipy_openblas`` library.
+    """
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        if get() != threads:
+            put(threads)
+        return threads
+    return None
+
+
 def worker_main(conn, worker_id: int, config,
-                payload: Dict[str, Any]) -> None:
+                payload: Dict[str, Any], parent_pid: Optional[int] = None,
+                inherited: Sequence[Any] = (),
+                blas_threads: Optional[int] = None) -> None:
     """Process entry point (importable top-level for any start method).
 
     *config* is the fleet's :class:`~repro.serve.FleetConfig`; *payload*
-    is the artifact payload the weights are read from.
+    is the artifact payload the weights are read from.  *parent_pid* is
+    the gateway's pid: the worker exits once its parent is another
+    process.  *inherited* are the gateway's ends of every fleet pipe
+    that a fork copied into this process (this worker's own included);
+    they are closed first, so a gateway that dies unstopped leaves this
+    worker at the end of its pipe (EOF) instead of waiting forever.
+    *blas_threads* is this worker's share of the CPUs for BLAS calls,
+    already set by a forking gateway (see :func:`limit_blas_threads`);
+    ``None`` leaves BLAS as it is.
     """
+    for end in inherited:
+        end.close()
     # Local imports keep module import light for the parent process.
     from repro.ml.plancache import configure_plan_cache
     from repro.serve.batcher import MicroBatcher
@@ -106,6 +154,9 @@ def worker_main(conn, worker_id: int, config,
 
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    if blas_threads is not None:
+        blas_threads = limit_blas_threads(blas_threads)
 
     # Fresh observability state: with fork the child inherits the parent
     # registry/tracer including open sinks — reset, then open a private
@@ -213,15 +264,21 @@ def worker_main(conn, worker_id: int, config,
             "weights_read_only": bool(params) and all(
                 not p.data.flags.writeable for p in params),
             "collector_enabled": gc.isenabled(),
+            "blas_threads": blas_threads,
             "microbatch": batcher.describe() if batcher else None,
         }
 
     try:
         while True:
             try:
-                msg = conn.recv()
+                if conn.poll(PARENT_CHECK_S):
+                    msg = conn.recv()
+                elif parent_pid in (None, os.getppid()):
+                    continue
+                else:
+                    msg = ("stop",)  # the gateway died without stopping us
             except (EOFError, OSError):
-                break  # gateway went away; nothing left to serve
+                msg = ("stop",)  # the gateway's end is closed
             kind = msg[0]
             if kind == "open":
                 _, design, spec, seed, replay = msg

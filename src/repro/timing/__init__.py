@@ -1,4 +1,8 @@
-"""Static timing analysis substrate: pin graph, NLDM, Elmore, PERT sweep."""
+"""Static timing analysis substrate: pin graph, NLDM, Elmore, PERT sweep.
+
+Text reports are imported from :mod:`repro.timing.report`: only
+``repro report`` prints them.
+"""
 
 from repro.timing.graph import (
     CELL_OUT,
@@ -26,13 +30,6 @@ from repro.timing.partition import (
     stream_plan_for,
 )
 from repro.timing.nldm import BatchNLDM, batch_nldm_for
-from repro.timing.report import (
-    PathReport,
-    PathStep,
-    report_path,
-    report_summary,
-    report_timing,
-)
 from repro.timing.rc import PreRouteEstimator, RoutedLengths, WireLengthProvider
 from repro.timing.sta import (
     PI_INPUT_SLEW,
@@ -64,11 +61,6 @@ __all__ = [
     "stream_plan_for",
     "BatchNLDM",
     "batch_nldm_for",
-    "PathReport",
-    "PathStep",
-    "report_path",
-    "report_summary",
-    "report_timing",
     "PreRouteEstimator",
     "RoutedLengths",
     "WireLengthProvider",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.gnn import EndpointGNN
 from repro.ml import CELL_FEATURE_DIM, NET_FEATURE_DIM
-from repro.nn import numerical_grad
+from repro.nn.gradcheck import numerical_grad
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.netlist import parse_verilog, write_verilog
+from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.placement.defio import read_def, write_def
 from repro.timing import (
     PreRouteEstimator,

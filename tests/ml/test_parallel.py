@@ -18,7 +18,8 @@ import pytest
 
 from repro.flow import FlowConfig
 from repro.ml import build_dataset, build_dataset_report
-from repro.obs import aggregate_trace, get_tracer
+from repro.obs import get_tracer
+from repro.obs.profile import aggregate_trace
 
 CFG = FlowConfig(scale=0.15)
 DESIGNS = ["xgate", "steelcore"]

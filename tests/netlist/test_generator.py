@@ -10,10 +10,10 @@ from repro.netlist import (
     PAPER_DESIGNS,
     TEST_DESIGNS,
     TRAIN_DESIGNS,
-    compute_stats,
     generate_netlist,
     generate_preset,
 )
+from repro.netlist.stats import compute_stats
 from repro.timing import build_timing_graph
 
 

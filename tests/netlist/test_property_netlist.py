@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from repro.netlist import (
     DESIGN_PRESETS,
     DesignSpec,
-    compute_stats,
     generate_netlist,
-    parse_verilog,
-    write_verilog,
 )
+from repro.netlist.stats import compute_stats
+from repro.netlist.verilog import parse_verilog, write_verilog
 from repro.timing import build_timing_graph
 
 

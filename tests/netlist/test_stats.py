@@ -1,6 +1,7 @@
 """Tests for netlist statistics."""
 
-from repro.netlist import compute_stats, generate_preset
+from repro.netlist import generate_preset
+from repro.netlist.stats import compute_stats
 
 from tests.conftest import make_toy_netlist
 

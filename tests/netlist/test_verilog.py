@@ -4,12 +4,9 @@ import io
 
 import pytest
 
-from repro.netlist import (
-    compute_stats,
-    generate_preset,
-    parse_verilog,
-    write_verilog,
-)
+from repro.netlist import generate_preset
+from repro.netlist.stats import compute_stats
+from repro.netlist.verilog import parse_verilog, write_verilog
 
 from tests.conftest import make_toy_netlist
 

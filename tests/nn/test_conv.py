@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, MaxPool2d, check_layer_gradients
+from repro.nn import Conv2d, MaxPool2d
+from repro.nn.gradcheck import check_layer_gradients
 
 
 def test_conv_output_shape(rng):

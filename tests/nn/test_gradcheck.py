@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, check_layer_gradients, numerical_grad
+from repro.nn import Linear
+from repro.nn.gradcheck import check_layer_gradients, numerical_grad
 
 
 def test_numerical_grad_on_quadratic():

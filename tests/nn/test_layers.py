@@ -9,9 +9,9 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tanh,
-    check_layer_gradients,
     mlp,
 )
+from repro.nn.gradcheck import check_layer_gradients
 
 
 def test_linear_forward_shape(rng):

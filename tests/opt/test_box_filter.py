@@ -21,7 +21,7 @@ import repro
 from repro.flow import FlowConfig, StagedFlow
 from repro.netlist import DESIGN_PRESETS
 from repro.opt import optimizer as optimizer_mod
-from repro.opt.config import OptimizerConfig
+from repro.config import OptimizerConfig
 
 ndimage = pytest.importorskip("scipy.ndimage")
 

@@ -1,10 +1,13 @@
-"""The ``repro serve`` boot: one forked flow task per design.
+"""The ``repro serve`` boot paths.
 
-:func:`repro.ml.dataset.boot_designs` runs each design's flow through
-the shared engine in :mod:`repro.ml.parallel` and keeps its
+A model-less bootstrap boots through
+:func:`repro.ml.dataset.boot_designs`, which runs each design's flow
+through the shared engine in :mod:`repro.ml.parallel` and keeps its
 :class:`~repro.flow.PreRouteDesign` (and, for in-process serving, its
 label-free inputs with the timing graph and critical paths they were
-built from).  Under test:
+built from).  A server with a model opens every design by name where
+its session lives: in the serving process with ``--workers 0``, in a
+fleet worker otherwise; it starts no pool.  Under test:
 
 * a pooled boot's pre-route designs and inputs equal the serial
   in-process boot's;
@@ -14,8 +17,9 @@ built from).  Under test:
   span);
 * ``repro serve`` reports a failed flow as one ``error:`` line, and no
   pool process is alive once the gateway binds or the fleet forks; a
-  design that fails to build inside a fleet worker ends the boot the
-  same way, with no worker left alive.
+  design that fails to build by name, in the serving process or inside
+  a fleet worker, ends the boot the same way, with no process or thread
+  of the boot left alive.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import dataclasses
 import glob
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from repro.cli import main
 from repro.flow import FlowConfig, PreRouteDesign
 from repro.ml import boot_designs
 from repro.obs import get_metrics, get_tracer
-from repro.serve import TimingFleet, TimingGateway
+from repro.serve import SessionFactory, TimingFleet, TimingGateway
 
 CFG = FlowConfig(scale=0.2)
 DESIGNS = ["xgate", "steelcore"]
@@ -215,6 +220,39 @@ def test_cli_serve_reports_a_failed_pool_flow(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_cli_serve_reports_a_failed_by_name_build(tmp_path, capsys,
+                                                  monkeypatch,
+                                                  served_predictor):
+    """A ``--workers 0`` model boot builds its designs by name in the
+    serving process: a build that raises there ends the boot with the
+    fleet's one ``error:`` line and exit 1, and leaves no child process
+    and no thread (the micro-batcher's included) behind."""
+    import repro.flow
+
+    model = tmp_path / "model.pkl"
+    served_predictor.save(model)
+    real = repro.flow.run_pre_route
+
+    def flaky(design, *args, **kwargs):
+        if design == "steelcore":
+            raise RuntimeError("placement diverged")
+        return real(design, *args, **kwargs)
+
+    monkeypatch.setattr(repro.flow, "run_pre_route", flaky)
+    before, threads = _children(), set(threading.enumerate())
+    assert main(["serve", "--designs", *DESIGNS, "--scale", "0.2",
+                 "--model", str(model), "--port", "0",
+                 "--workers", "0"]) == 1
+    assert _children() <= before, "a process outlived the call"
+    assert set(threading.enumerate()) <= threads, "a thread outlived the call"
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: flow failed for steelcore: "
+                      "RuntimeError: placement diverged"]
+    assert "Traceback" not in err
+
+
 def test_cli_serve_reports_a_failed_fleet_worker_build(tmp_path, capfd,
                                                       monkeypatch,
                                                       served_predictor):
@@ -249,8 +287,9 @@ def test_cli_serve_reports_a_failed_fleet_worker_build(tmp_path, capfd,
 @pytest.mark.parametrize("workers", [0, 1])
 def test_cli_serve_pool_is_gone_before_serving(tmp_path, monkeypatch,
                                                served_predictor, workers):
-    """Nothing of the boot pool is alive when the fleet is built (workers
-    > 0) or the gateway binds (workers 0)."""
+    """No boot pool process is alive when the fleet is built (workers >
+    0), or at any session open or when the gateway binds (workers 0,
+    which opens its designs by name in this process)."""
     model = tmp_path / "model.pkl"
     served_predictor.save(model)
     before = _children()
@@ -267,6 +306,15 @@ def test_cli_serve_pool_is_gone_before_serving(tmp_path, monkeypatch,
 
     record(TimingFleet, "__init__")
     record(TimingGateway, "bind")
+    opened = []
+    open_session = SessionFactory.open
+
+    def open_and_look(self, *args, **kwargs):
+        session = open_session(self, *args, **kwargs)
+        opened.append(_children() - before)
+        return session
+
+    monkeypatch.setattr(SessionFactory, "open", open_and_look)
     serve_forever = TimingGateway.serve_forever
 
     def drain_at_once(self, *args, **kwargs):
@@ -284,4 +332,6 @@ def test_cli_serve_pool_is_gone_before_serving(tmp_path, monkeypatch,
         signal.signal(signal.SIGTERM, sigterm)
     first_hook = "__init__" if workers else "bind"
     assert seen[first_hook] == set(), seen
+    if not workers:
+        assert opened == [set()] * len(DESIGNS), opened
     assert _children() <= before

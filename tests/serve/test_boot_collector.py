@@ -45,7 +45,7 @@ def model(tmp_path, served_predictor):
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """Two designs on two CPUs: the ``--workers 0`` boot pools."""
+    """Two designs on two CPUs: a ``--workers 0`` bootstrap pools."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     sigterm = signal.getsignal(signal.SIGTERM)
     yield
@@ -162,12 +162,12 @@ def _failed_flow(monkeypatch, model):
 
 
 def _boot_raises(monkeypatch, model):
-    import repro.ml.dataset
-
+    # A model boot reports a failed design build as an ``error:`` line;
+    # what still raises out of it is the server failing to come up.
     def crash(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(repro.ml.dataset, "boot_designs", crash)
+    monkeypatch.setattr(TimingGateway, "bind", crash)
     return ["--model", str(model)]
 
 

@@ -11,8 +11,10 @@ spy on :func:`repro.core.masking.build_endpoint_paths` wherever a module
 bound it and a spy on the incremental STA's sweep, on every boot path a
 server takes:
 
-* ``--workers 0``: ``boot_designs`` (in process, and pooled), then
-  ``SessionFactory.open`` on the boot's pre-route design and inputs;
+* ``repro serve --model M --workers 0``: ``SessionFactory.open`` by
+  design name in the serving process, with no boot pool and no fork;
+* ``boot_designs`` (in process, and pooled), then ``SessionFactory.open``
+  on the boot's pre-route design and inputs;
 * a fleet worker: ``SessionFactory.open`` by design name;
 * the same by-name open at three corners;
 * a model-less bootstrap boot, whose training samples are a labeled
@@ -26,7 +28,9 @@ parent's own.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import signal
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -35,12 +39,19 @@ import numpy as np
 import pytest
 
 import repro.liberty.library as library_module
+import repro.ml.parallel
+from repro.cli import main
 from repro.core import masking
 from repro.flow import FlowConfig, run_scenario_flow
 from repro.liberty import CellLibrary
 from repro.ml import boot_designs, build_corner_samples, dataset
 from repro.obs import get_tracer
-from repro.serve import SessionFactory
+from repro.serve import (
+    InProcessBackend,
+    RequestDispatcher,
+    SessionFactory,
+    TimingGateway,
+)
 from repro.timing import IncrementalSTA
 
 from .conftest import MAP_BINS
@@ -96,6 +107,76 @@ def assert_one_graph(session) -> None:
     assert session.graph is session.featurizer.graph
     assert session.sta.graph is session.featurizer.graph
     assert session.graph.netlist is session.netlist
+
+
+def test_model_boot_opens_by_name_in_process(monkeypatch, tmp_path,
+                                             served_predictor):
+    """``repro serve --model M --workers 0`` opens each design by name in
+    its own process: one graph, walk and sweep per design, no
+    ``run_design_tasks`` call and no fork; its sessions answer
+    ``/predict`` as sessions on a pooled boot at the same seed do."""
+    model = tmp_path / "model.pkl"
+    served_predictor.save(model)
+    calls = []
+
+    def pool(*args, **kwargs):
+        calls.append("run_design_tasks")
+        raise AssertionError("a model boot ran the boot pool")
+
+    def fork():
+        calls.append("fork")
+        raise OSError("a model boot forked")
+
+    monkeypatch.setattr(repro.ml.parallel, "run_design_tasks", pool)
+    monkeypatch.setattr(os, "fork", fork)
+    served = {}
+    backend_init = InProcessBackend.__init__
+
+    def keep_sessions(self, sessions, *args, **kwargs):
+        served.update(sessions)
+        backend_init(self, sessions, *args, **kwargs)
+
+    monkeypatch.setattr(InProcessBackend, "__init__", keep_sessions)
+    serve_forever = TimingGateway.serve_forever
+
+    def drain_at_once(self, *args, **kwargs):
+        self.request_drain()
+        return serve_forever(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimingGateway, "serve_forever", drain_at_once)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    try:
+        with counting(monkeypatch) as (builds, walks, sweeps):
+            assert main(["serve", "--designs", *DESIGNS, "--scale", "0.2",
+                         "--seed", "1", "--model", str(model),
+                         # Sessions that infer themselves still answer
+                         # once the server (and a batcher) has stopped.
+                         "--microbatch", "1",
+                         "--port", "0", "--workers", "0"]) == 0
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    assert calls == []
+    assert builds == Counter({d: 1 for d in DESIGNS})
+    assert walks == Counter({d: 1 for d in DESIGNS})
+    assert sweeps == Counter({d: 1 for d in DESIGNS})
+    assert sorted(served) == sorted(DESIGNS)
+    for session in served.values():
+        assert_one_graph(session)
+    monkeypatch.undo()
+    config = FlowConfig(scale=0.2, base_seed=1)
+    built, report = boot_designs(DESIGNS, config, map_bins=MAP_BINS,
+                                 seed=1, jobs=2)
+    assert report.ok
+    factory = SessionFactory(lambda: served_predictor, flow_config=config,
+                             default_seed=1)
+    pooled = {d: factory.open(pre, sample=inputs)
+              for d, (pre, inputs, _) in zip(DESIGNS, built)}
+    for design in DESIGNS:
+        body = {"design": design}
+        assert RequestDispatcher(served).handle("POST", "/predict", body) \
+            == RequestDispatcher(pooled).handle("POST", "/predict", body)
+    for session in (*served.values(), *pooled.values()):
+        session.close()
 
 
 def test_in_process_boot_then_open(monkeypatch, served_predictor):

@@ -11,6 +11,14 @@ path) must hold exactly what the frozen construction builds from the
 same pre-route design: paths, masks, ``x_cell``/``x_net`` and every STA
 array — and still after a committed batch of moves re-rasterizes the
 dirty masks.
+
+A ``repro serve --model M --workers 0`` boot used to build its designs
+in a forked pool (:func:`repro.ml.boot_designs`) and open sessions on the
+pickled results; it now opens each design by name in the serving
+process, as a fleet worker does.  On every paper preset, with one
+corner, three corners, ``partition_pins=64`` and an ECO scenario, the
+two sessions must hold the same sample, paths and incremental-STA state,
+and answer ``/predict`` with the same payload.
 """
 
 from __future__ import annotations
@@ -21,13 +29,14 @@ import numpy as np
 import pytest
 
 from repro.flow import FlowConfig
-from repro.ml import node_features
+from repro.ml import boot_designs, node_features
 from repro.netlist import PAPER_DESIGNS
-from repro.serve import Edit, SessionFactory
+from repro.serve import Edit, RequestDispatcher, SessionFactory
 from repro.timing import NET_SINK, IncrementalSTA, build_timing_graph
 from repro.utils import require, spawn_rng
 
 from .conftest import MAP_BINS
+from .test_boot import _assert_same
 
 SCALE = 0.2
 THREE_CORNERS = ("base", "slow", "fast")
@@ -168,3 +177,45 @@ def test_session_equals_the_frozen_construction(
     assert_same_sta(session.sta.result,
                     IncrementalSTA(nl, pl, session.clock_period).result)
     session.close()
+
+
+# --- by name in process == the pooled boot --------------------------
+#: case id -> (FlowConfig overrides, served corners, scenario)
+BOOT_CASES = {
+    "one-corner": ({}, None, None),
+    "three-corners": ({"corners": THREE_CORNERS}, THREE_CORNERS, None),
+    "partitioned": ({"partition_pins": 64}, None, None),
+    "eco": ({}, None, "eco1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOT_CASES))
+def test_by_name_boot_equals_the_pooled_boot(case, served_predictor,
+                                             three_corner_predictor):
+    overrides, corners, scenario = BOOT_CASES[case]
+    config = FlowConfig(scale=0.1, **overrides)
+    predictor = three_corner_predictor if corners else served_predictor
+    built, report = boot_designs(list(PAPER_DESIGNS), config,
+                                 scenario=scenario, map_bins=MAP_BINS,
+                                 partition_pins=config.partition_pins,
+                                 jobs=2)
+    assert report.ok and report.jobs == 2
+    factory = SessionFactory(lambda: predictor, flow_config=config,
+                             corners=corners, scenario=scenario)
+    pooled = {d: factory.open(pre, sample=inputs)
+              for d, (pre, inputs, _) in zip(PAPER_DESIGNS, built)}
+    by_name = {d: factory.open(d) for d in PAPER_DESIGNS}
+    want = RequestDispatcher(pooled)
+    got = RequestDispatcher(by_name)
+    for design in PAPER_DESIGNS:
+        a, b = by_name[design], pooled[design]
+        assert a.scenario == b.scenario == (scenario or "")
+        _assert_same(a.sample, b.sample, f"{design}.sample")
+        assert a.featurizer.paths == b.featurizer.paths, design
+        assert_same_sta(a.sta.result, b.sta.result)
+        assert a.describe() == b.describe(), design
+        body = {"design": design}
+        assert got.handle("POST", "/predict", body) == \
+            want.handle("POST", "/predict", body), design
+    for session in (*pooled.values(), *by_name.values()):
+        session.close()

@@ -13,6 +13,7 @@ start timeout keep their errors.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import os
 import time
 
@@ -21,7 +22,6 @@ import pytest
 import repro.flow
 from repro.flow import FlowConfig
 from repro.serve import FleetConfig, FleetOpenFailed, TimingFleet
-from repro.serve import fleet as fleet_module
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -62,20 +62,28 @@ def test_start_never_blocks_once_nothing_is_pending(artifact_payload,
     log = []
     fleet = TimingFleet(artifact_payload, {d: d for d in DESIGNS},
                         _config())
-    real_spawn, real_wait = TimingFleet._spawn, fleet_module.wait
+    real_spawn, real_wait = TimingFleet._spawn, mp_connection.wait
 
     def spawn(self, worker_id):
         handle = real_spawn(self, worker_id)
         handle.conn = _SpyConn(handle.conn, lambda: handle, log)
         return handle
 
+    started = []
+
     def wait(objects, timeout=None):
-        log.append(("wait", any(_pending(w) for w in fleet.workers)))
+        # The module's own callers share the spy: a pipe's non-blocking
+        # ``poll`` waits with no timeout, and ``stop`` joins after start.
+        if timeout and not started:
+            log.append(("wait", any(_pending(w) for w in fleet.workers)))
         return real_wait(objects, timeout)
 
     monkeypatch.setattr(TimingFleet, "_spawn", spawn)
-    monkeypatch.setattr(fleet_module, "wait", wait)
+    # ``start`` imports ``wait`` when it runs, so the spy replaces it
+    # where it is defined.
+    monkeypatch.setattr(mp_connection, "wait", wait)
     fleet.start()
+    started.append(True)
     try:
         assert all(w.ready == w.designs for w in fleet.workers)
         assert len(fleet.workers) == 2

@@ -67,6 +67,8 @@ sys.exit(main(["serve", "--designs", "xgate", "steelcore", "--scale",
 """
 
 
+# A model boot opens its designs by name in this process on any number
+# of CPUs (the "pool" id predates that); both ids check what it holds.
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
 def test_inprocess_serve_holds_no_signoff_data(tmp_path, served_predictor,
                                                cpus):

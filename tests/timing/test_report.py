@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.timing import (
-    PreRouteEstimator,
-    build_timing_graph,
-    report_path,
-    report_summary,
-    report_timing,
-    run_sta,
-)
+from repro.timing import PreRouteEstimator, build_timing_graph, run_sta
+from repro.timing.report import report_path, report_summary, report_timing
 
 
 @pytest.fixture(scope="module")
