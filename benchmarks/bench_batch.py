@@ -25,7 +25,7 @@ from repro.flow import FlowConfig, run_flow
 from repro.ml.batch import PackedBatch
 from repro.ml.dataset import build_sample
 from repro.ml.plancache import PLAN_CACHE
-from repro.nn import inference_mode, workspace
+from repro.nn import inference_mode
 from repro.timing import stream_plan_for
 
 from benchmarks.conftest import emit_bench, run_once
@@ -107,21 +107,17 @@ def test_packed_vs_per_design(benchmark):
 
 
 def test_warm_path_vs_cold(benchmark):
-    """The allocation/precision tier vs the pre-tier per-call baseline.
+    """The plan cache and the fp32 tier against a fresh worker's call.
 
     Three timed shapes of the same packed inference:
 
-    * **cold** — a fresh worker's first call: re-merge the level plans
-      AND allocate every intermediate fresh;
-    * **baseline** — what every repeat call paid before this tier
-      existed (the merge memo already existed, so topology is reused,
-      but every intermediate is allocated fresh at fp64);
-    * **warm** — plan cache + workspace arena, measured at fp64 (must
-      be bit-identical to cold) and at fp32 (the tier's speed lever,
-      tolerance-budgeted in ``test_precision_tiers``).
+    * **cold** — a fresh worker's first call: re-merge the level plans;
+    * **warm** — the plan cache hit every repeat pack takes, measured
+      at fp64 (must be bit-identical to cold) and at fp32 (the tier's
+      speed lever, tolerance-budgeted in ``test_precision_tiers``).
 
-    The headline gate is warm-fp32 >= 1.3x the baseline; fp64 warm must
-    never be slower than cold (merge + allocations are pure overhead).
+    The headline gate is warm-fp32 >= 1.3x warm-fp64; fp64 warm must
+    never be slower than cold (the merge is pure overhead).
     """
     def scenario():
         fleet, base = _fleet_samples()
@@ -129,23 +125,11 @@ def test_warm_path_vs_cold(benchmark):
 
         def cold():
             PLAN_CACHE.clear()
-            predictor.use_workspace = False
-            try:
-                return predictor.predict_batch_arrays(fleet)
-            finally:
-                predictor.use_workspace = True
-
-        def baseline():
-            predictor.use_workspace = False
-            try:
-                return predictor.predict_batch_arrays(fleet)
-            finally:
-                predictor.use_workspace = True
+            return predictor.predict_batch_arrays(fleet)
 
         predictor.predict_batch_arrays(fleet)  # prime caches
-        cold_t, baseline_t, warm_t = _best_times(
-            cold, baseline,
-            lambda: predictor.predict_batch_arrays(fleet))
+        cold_t, warm_t = _best_times(
+            cold, lambda: predictor.predict_batch_arrays(fleet))
 
         cold_out = cold()
         warm_out = predictor.predict_batch_arrays(fleet)
@@ -158,48 +142,44 @@ def test_warm_path_vs_cold(benchmark):
         predictor.set_precision("fp64")
 
         ops = _op_timings(predictor, fleet)
-        return cold_t, baseline_t, warm_t, warm32_t, ops, predictor
+        return cold_t, warm_t, warm32_t, ops
 
-    cold_t, baseline_t, warm_t, warm32_t, ops, predictor = run_once(
-        benchmark, scenario)
+    cold_t, warm_t, warm32_t, ops = run_once(benchmark, scenario)
     fp64_speedup = cold_t / warm_t
-    tier_speedup = baseline_t / warm32_t
+    tier_speedup = warm_t / warm32_t
     emit_bench("batch_warm", {
-        "cold_ms": cold_t * 1e3, "baseline_ms": baseline_t * 1e3,
-        "warm_fp64_ms": warm_t * 1e3, "warm_fp32_ms": warm32_t * 1e3,
+        "cold_ms": cold_t * 1e3, "warm_fp64_ms": warm_t * 1e3,
+        "warm_fp32_ms": warm32_t * 1e3,
         "fp64_speedup_vs_cold": fp64_speedup,
-        "tier_speedup_vs_baseline": tier_speedup,
+        "fp32_speedup_vs_warm_fp64": tier_speedup,
         "fleet": FLEET, "ops_ms": ops,
-        "workspace": predictor._workspace.describe(),
         "plan_cache": PLAN_CACHE.describe(),
     })
     print(f"\nWarm packed inference — {FLEET} designs: cold "
-          f"{cold_t * 1e3:.1f} ms, baseline {baseline_t * 1e3:.1f} ms, "
-          f"warm fp64 {warm_t * 1e3:.1f} ms ({fp64_speedup:.2f}x vs "
-          f"cold), warm fp32 {warm32_t * 1e3:.1f} ms "
-          f"({tier_speedup:.2f}x vs baseline); ops "
-          f"{ {k: round(v, 2) for k, v in ops.items()} }")
-    # Cold = warm + plan merge + fresh allocations, so warm should win;
-    # min-of-REPEATS interleaved timing still jitters a few percent on a
-    # shared machine, hence the 10% allowance.
+          f"{cold_t * 1e3:.1f} ms, warm fp64 {warm_t * 1e3:.1f} ms "
+          f"({fp64_speedup:.2f}x vs cold), warm fp32 "
+          f"{warm32_t * 1e3:.1f} ms ({tier_speedup:.2f}x vs warm fp64); "
+          f"ops { {k: round(v, 2) for k, v in ops.items()} }")
+    # Cold = warm + plan merge, so warm should win; min-of-REPEATS
+    # interleaved timing still jitters a few percent on a shared
+    # machine, hence the 10% allowance.
     assert warm_t <= cold_t * 1.10, (
         f"warm fp64 packed inference must not be slower than the cold "
         f"path, got warm {warm_t * 1e3:.1f} ms vs cold "
         f"{cold_t * 1e3:.1f} ms")
     assert tier_speedup >= 1.3, (
-        f"the warm inference tier (plan cache + arena + fp32) must be "
-        f">=1.3x the pre-tier fp64 baseline, got {tier_speedup:.2f}x")
+        f"the fp32 inference tier must be >=1.3x the warm fp64 path, "
+        f"got {tier_speedup:.2f}x")
 
 
 def _op_timings(predictor, fleet) -> dict:
     """Best-of-REPEATS per-op milliseconds on the warm path."""
     model = predictor.model
     batch = PackedBatch.pack(fleet)
-    ws = predictor._workspace
 
     def scoped(fn):
         def run():
-            with inference_mode(), workspace(ws):
+            with inference_mode():
                 return fn()
         return run
 

@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="fp64",
                        help="inference tier: fp64 (bit-exact default) or "
                             "fp32 (toleranced)")
-    p_srv.add_argument("--plan-cache", type=Path, default=None,
-                       help="directory for the persistent packed-plan "
-                            "cache (workers warm-start merged level "
-                            "plans from here)")
     p_srv.add_argument("--session-ttl", type=float, default=None,
                        help="evict design sessions idle longer than "
                             "this many seconds (default: never)")
@@ -512,11 +508,6 @@ def _serve(args, collector: _BootCollector) -> int:
         train = [s for _, _, samples in built for s in samples or ()]
         del built
 
-    if args.plan_cache is not None:
-        from repro.ml.plancache import configure_plan_cache
-
-        configure_plan_cache(args.plan_cache)
-
     if not have_model:
         print(f"model {args.model} not found; bootstrapping a "
               f"{args.bootstrap_epochs}-epoch predictor on "
@@ -535,8 +526,6 @@ def _serve(args, collector: _BootCollector) -> int:
                          deadline_s=args.deadline,
                          queue_depth=args.queue_depth,
                          precision=args.precision,
-                         plan_cache_dir=(str(args.plan_cache)
-                                         if args.plan_cache else None),
                          session_ttl_s=args.session_ttl,
                          # Ship *specs*: workers re-parse them, which
                          # re-registers any custom corners over there.

@@ -41,7 +41,6 @@ from repro.nn import (
     Sequential,
     inference_mode,
     mlp,
-    ws_empty,
 )
 from repro.timing.partition import stream_plan_for
 from repro.utils import require, spawn_rng
@@ -174,13 +173,7 @@ class RestructureTolerantModel(Module):
         if self.corner_embedding is not None:
             parts.append(self.corner_embedding.forward(
                 batch.endpoint_corner))
-        if inference:
-            width = sum(p.shape[1] for p in parts)
-            z = np.concatenate(parts, axis=1,
-                               out=ws_empty((parts[0].shape[0], width),
-                                            parts[0].dtype))
-        else:
-            z = np.concatenate(parts, axis=1)
+        z = np.concatenate(parts, axis=1)
         pred = self.regressor.forward(z).ravel()
         if training:
             self._cache = (batch, masks)

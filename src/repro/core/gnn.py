@@ -36,8 +36,6 @@ from repro.nn import (
     Parameter,
     inference_mode,
     mlp,
-    workspace,
-    ws_empty,
 )
 from repro.timing.partition import StreamPlan
 from repro.utils import require
@@ -204,18 +202,16 @@ class EndpointGNN(Module):
         where the training ``pre * mask`` may give ``-0.0``), without
         ever materializing the ``(n, h)`` table.
 
-        Per-chunk buffers come from the plan's dedicated byte-capped
-        workspace (entered anew each chunk, so cursors rewind and chunk
-        *k+1* reuses chunk *k*'s arena); only the endpoint output and the
-        frontier live store are plain allocations that survive the arena
-        rewind.  The slabs are per plan, so one thread runs a given plan
-        at a time.
+        The propagation buffer and the max-reduction destination are
+        the plan's two padded slabs (:meth:`StreamPlan.slabs`), reused
+        chunk over chunk and request over request.  The slabs are per
+        plan, so one thread runs a given plan at a time.
         """
         require(not self._cache, "forward_stream is inference-only")
         h = self.hidden
         dt = np.float64 if self.precision == "fp64" else np.float32
         endpoint_nodes = sample.endpoint_nodes
-        out = ws_empty((len(endpoint_nodes), h), dt)
+        out = np.empty((len(endpoint_nodes), h), dtype=dt)
         src = np.empty(h, dtype=dt)
         src[...] = self.source_emb.data
         # Level-0 endpoints (degenerate but legal) never pass through a
@@ -225,72 +221,64 @@ class EndpointGNN(Module):
         if lvl0_ep.any():
             out[lvl0_ep] = src
 
-        # The per-plan scratch arena holds exactly two *padded* slabs —
-        # the propagation buffer and the max-reduction destination, both
-        # (max_rows, h) and sliced down per chunk/level — so every chunk
-        # (and every later request on the same plan) borrows the same
-        # two allocations.  Everything else per chunk (feature-branch
-        # MLP intermediates, predecessor gathers) deliberately runs with
-        # NO active arena: those shapes differ chunk to chunk, so a pool
-        # would retain every chunk's set and the working set would creep
-        # back toward whole-graph scale; as plain allocations they are
-        # freed the moment the chunk (or level) drops them.
+        # The two padded (max_rows, h) slabs are sliced down per
+        # chunk/level, so every chunk (and every later request on the
+        # same plan) reuses the same two allocations.  Everything else
+        # per chunk (feature-branch MLP intermediates, predecessor
+        # gathers) is a plain allocation freed the moment the chunk (or
+        # level) drops it: those shapes differ chunk to chunk, so
+        # keeping them would creep back toward whole-graph scale.
         # inference_mode is part of the memory contract, not an
         # optimization: without it every Linear caches its input
         # activations for a backward that will never come, and the
         # retained caches grow right back to whole-graph scale.
-        scratch = stream.scratch_workspace(h)
+        buf_slab, maxv_slab = stream.slabs(h, dt)
         live = np.empty((0, h), dtype=dt)
         cell_order_all, net_order_all, _ = plan_orders(sample)
         c_base = n_base = 0
         with inference_mode():
             for chunk in stream.chunks:
-                with workspace(scratch):
-                    buf = ws_empty((stream.max_rows, h), dt)[:chunk.n_rows]
-                    maxv_slab = ws_empty((stream.max_rows, h), dt)
+                buf = buf_slab[:chunk.n_rows]
                 buf.fill(-np.inf)
                 buf[chunk.source_row] = src
                 if chunk.n_halo:
                     buf[:chunk.n_halo] = live[chunk.halo_from_live]
-                with workspace(None):
-                    # Chunk rows are a contiguous [base, base+len) slice
-                    # of the global level-ordered block; _feat_rows
-                    # re-runs the same absolute tiles the training
-                    # forward runs, so the rows match it bit for bit.
-                    feat_c = _feat_rows(self.f_c2, sample.x_cell,
-                                        cell_order_all, c_base,
-                                        c_base + len(chunk.cell_order))
-                    feat_n = _feat_rows(self.f_n, sample.x_net,
-                                        net_order_all, n_base,
-                                        n_base + len(chunk.net_order))
-                    c_base += len(chunk.cell_order)
-                    n_base += len(chunk.net_order)
-                    c_off = n_off = 0
-                    for plan in chunk.plans:
-                        mc = len(plan.cell_nodes)
-                        if mc:
-                            gathered = np.take(buf, plan.cell_preds, axis=0)
-                            maxv = gathered.max(axis=1, out=maxv_slab[:mc])
-                            pre = self.f_c1.forward(maxv)
-                            pre += feat_c[c_off:c_off + mc]
-                            if self.residual:
-                                pre += maxv
-                            buf[plan.cell_nodes] = np.maximum(pre, 0.0,
-                                                              out=pre)
-                            c_off += mc
-                        mn = len(plan.net_nodes)
-                        if mn:
-                            pre = np.take(buf, plan.net_drivers, axis=0)
-                            pre += feat_n[n_off:n_off + mn]
-                            buf[plan.net_nodes] = np.maximum(pre, 0.0,
-                                                             out=pre)
-                            n_off += mn
+                # Chunk rows are a contiguous [base, base+len) slice
+                # of the global level-ordered block; _feat_rows
+                # re-runs the same absolute tiles the training
+                # forward runs, so the rows match it bit for bit.
+                feat_c = _feat_rows(self.f_c2, sample.x_cell,
+                                    cell_order_all, c_base,
+                                    c_base + len(chunk.cell_order))
+                feat_n = _feat_rows(self.f_n, sample.x_net,
+                                    net_order_all, n_base,
+                                    n_base + len(chunk.net_order))
+                c_base += len(chunk.cell_order)
+                n_base += len(chunk.net_order)
+                c_off = n_off = 0
+                for plan in chunk.plans:
+                    mc = len(plan.cell_nodes)
+                    if mc:
+                        gathered = np.take(buf, plan.cell_preds, axis=0)
+                        maxv = gathered.max(axis=1, out=maxv_slab[:mc])
+                        pre = self.f_c1.forward(maxv)
+                        pre += feat_c[c_off:c_off + mc]
+                        if self.residual:
+                            pre += maxv
+                        buf[plan.cell_nodes] = np.maximum(pre, 0.0,
+                                                          out=pre)
+                        c_off += mc
+                    mn = len(plan.net_nodes)
+                    if mn:
+                        pre = np.take(buf, plan.net_drivers, axis=0)
+                        pre += feat_n[n_off:n_off + mn]
+                        buf[plan.net_nodes] = np.maximum(pre, 0.0,
+                                                         out=pre)
+                        n_off += mn
                 if len(chunk.endpoint_pos):
                     out[chunk.endpoint_pos] = buf[chunk.endpoint_local]
-                # Frontier carry: plain allocations on purpose — the
-                # next chunk's workspace entry rewinds the arena the
-                # slabs live in, so nothing borrowed may cross the
-                # chunk boundary.
+                # Frontier carry: a copy, because the next chunk
+                # overwrites the slab.
                 merged = np.concatenate([live[chunk.keep_prev],
                                          buf[chunk.keep_new]], axis=0)
                 live = merged[chunk.live_order]

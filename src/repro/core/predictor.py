@@ -19,13 +19,7 @@ from repro.core.trainer import LabelNorm, Trainer, TrainerConfig
 from repro.flow import FlowResult
 from repro.ml.batch import PackedBatch
 from repro.ml.sample import DesignSample
-from repro.nn import (
-    PRECISIONS,
-    Workspace,
-    load_state_dict,
-    state_dict,
-    workspace,
-)
+from repro.nn import PRECISIONS, load_state_dict, state_dict
 from repro.obs import get_metrics, get_tracer
 from repro.utils import require
 
@@ -42,7 +36,7 @@ ARTIFACT_FORMAT = "repro.timing-predictor"
 #: against the bit-exact fp64 default, on denormalized arrival times
 #: (ps).  Measured headroom on the golden flows is ~10× tighter; the
 #: budget is enforced in ``tests/nn/test_precision.py`` and the
-#: ``precision-smoke`` CI job (see DESIGN.md "Precision & memory tiers").
+#: ``precision-smoke`` CI job (see DESIGN.md "Precision & plan-cache tiers").
 FP32_TOLERANCE = {"rtol": 1e-4, "atol": 5e-2}
 
 
@@ -59,20 +53,10 @@ class TimingPredictor:
         self.trainer = Trainer(self.model, trainer_config or TrainerConfig())
         self.infer_times: Dict[str, float] = {}
         self.precision = "fp64"
-        # Inference scratch arena: reused across forwards, released via
-        # :meth:`release_workspace` (session teardown) or the arena's
-        # own byte cap.  ``use_workspace=False`` restores per-request
-        # allocation (the pre-arena behavior) for A/B benchmarking.
-        self.use_workspace = True
-        self._workspace = Workspace()
         # Streaming chunk-size hint: when set, inference over samples that
         # carry no hint of their own streams chunk-by-chunk (see
         # repro.timing.partition).  Bit-identical outputs either way.
         self.partition_pins: Optional[int] = None
-
-    def _scope(self):
-        """Workspace activation for one inference call (or a no-op)."""
-        return workspace(self._workspace if self.use_workspace else None)
 
     def set_partition(self, partition_pins: Optional[int]) -> None:
         """Set (or clear) the streaming chunk-size hint for inference."""
@@ -95,10 +79,6 @@ class TimingPredictor:
         self.precision = mode
         get_metrics().gauge("model.precision_bits").set(
             {"fp64": 64, "fp32": 32}[mode])
-
-    def release_workspace(self) -> None:
-        """Drop pooled inference buffers (e.g. on session teardown)."""
-        self._workspace.release()
 
     # ------------------------------------------------------------------
     def fit(self, train_samples: List[DesignSample]) -> None:
@@ -148,14 +128,13 @@ class TimingPredictor:
                              ) -> List[np.ndarray]:
         """Like :meth:`predict_batch`, returning ``sample.y``-aligned arrays."""
         samples = list(samples)
-        with self._scope():
-            batch = PackedBatch.pack(samples)
-            self._stamp_partition(batch)
-            sp = get_tracer().span("model.infer_batch", stage="infer",
-                                   designs=batch.n_samples,
-                                   endpoints=batch.n_endpoints)
-            with sp:
-                preds = self.trainer.predict_packed(batch)
+        batch = PackedBatch.pack(samples)
+        self._stamp_partition(batch)
+        sp = get_tracer().span("model.infer_batch", stage="infer",
+                               designs=batch.n_samples,
+                               endpoints=batch.n_endpoints)
+        with sp:
+            preds = self.trainer.predict_packed(batch)
         # Amortized per-design wall clock (the "infer" column of Table
         # III still gets one number per design).
         share = sp.duration / max(batch.n_samples, 1)
@@ -176,7 +155,7 @@ class TimingPredictor:
         sp = get_tracer().span("model.infer", stage="infer",
                                design=sample.name)
         self._stamp_partition(sample)
-        with sp, self._scope():
+        with sp:
             pred = self.trainer.predict(sample)
         self.infer_times[sample.name] = sp.duration
         get_metrics().counter("model.inferences").inc()

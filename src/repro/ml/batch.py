@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.ml.plancache import PLAN_CACHE
 from repro.ml.sample import DesignSample, LevelPlan
-from repro.nn.workspace import current_workspace
 from repro.utils import require
 
 #: Paper Section VI-A trains on batches of 1024 endpoints.
@@ -191,18 +190,18 @@ class PackedBatch:
             level=topo["level"],
             source_nodes=topo["source_nodes"],
             plans=topo["plans"],
-            x_cell=_concat_rows([s.x_cell for s in samples]),
-            x_net=_concat_rows([s.x_net for s in samples]),
+            x_cell=np.concatenate([s.x_cell for s in samples]),
+            x_net=np.concatenate([s.x_net for s in samples]),
             endpoint_nodes=topo["endpoint_nodes"],
             endpoint_pins=topo["endpoint_pins"],
             endpoint_sample=topo["endpoint_sample"],
             endpoint_offsets=topo["endpoint_offsets"],
             # Labels ride along only when every sample has them
             # (training); an inference pack leaves ``y`` unset.
-            y=(_concat_rows([s.y for s in samples])
+            y=(np.concatenate([s.y for s in samples])
                if all(s.y is not None for s in samples) else None),
             clock_periods=np.array([s.clock_period for s in samples]),
-            layout_stacks=_stack_arrays([s.layout_stack for s in samples]),
+            layout_stacks=np.stack([s.layout_stack for s in samples]),
             masks=masks,
             # Corner ids are per-pack, not part of the cached topology:
             # corner views share their base sample's plans identity.
@@ -223,25 +222,6 @@ def _common_pins(samples: Sequence[DesignSample]) -> "int | None":
     """The shared ``partition_pins`` of *samples*, or ``None`` if mixed."""
     pins = {s.partition_pins for s in samples}
     return pins.pop() if len(pins) == 1 else None
-
-
-def _concat_rows(arrays: List[np.ndarray]) -> np.ndarray:
-    """Row-wise concatenation, arena-backed when a workspace is active."""
-    ws = current_workspace()
-    if ws is None:
-        return np.concatenate(arrays, axis=0)
-    shape = (sum(a.shape[0] for a in arrays),) + arrays[0].shape[1:]
-    return np.concatenate(arrays, axis=0,
-                          out=ws.take(shape, arrays[0].dtype))
-
-
-def _stack_arrays(arrays: List[np.ndarray]) -> np.ndarray:
-    """``np.stack``, arena-backed when a workspace is active."""
-    ws = current_workspace()
-    if ws is None:
-        return np.stack(arrays)
-    shape = (len(arrays),) + arrays[0].shape
-    return np.stack(arrays, out=ws.take(shape, arrays[0].dtype))
 
 
 def plan_orders(sample) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,8 +251,8 @@ def build_pack_topology(samples: Sequence[DesignSample]) -> dict:
     """Merge *samples*' topology into one pack-shaped payload.
 
     Everything here depends only on graph topology (never on feature
-    values), which is what makes the result cacheable across packs and
-    persistable across processes (see :mod:`repro.ml.plancache`).
+    values), which is what makes the result cacheable across packs
+    (see :mod:`repro.ml.plancache`).
     """
     node_offsets = np.zeros(len(samples) + 1, dtype=np.int64)
     node_offsets[1:] = np.cumsum([s.n_nodes for s in samples])

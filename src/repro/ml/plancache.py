@@ -1,88 +1,39 @@
-"""Persistent packed-plan cache: merged pack topology, LRU + on-disk.
+"""Packed-plan cache: an LRU of merged pack topologies.
 
 Packing N designs merges their per-level :class:`LevelPlan` lists and
 concatenates every topology array — pure bookkeeping that is *identical*
 for every repeat pack of the same designs.  The serving micro-batcher
-re-packs resident session samples on every burst, and a fresh fleet
-worker re-merges from scratch on its first request for each pack shape;
-both are wasted work this cache eliminates:
+re-packs resident session samples on every burst; this cache makes the
+repeat packs skip the merge.
 
-* **In-memory LRU** keyed by the identity of each sample's ``plans``
-  list (plans capture pure topology, immutable after the sample build —
-  what-if edits only mutate feature arrays in place).  Entries keep
-  strong references to the keyed ``plans`` lists so a key's ``id`` can
-  never be recycled while cached; the flip side is that entries pin
-  sample topology in memory, so sessions **must** call
-  :meth:`PackPlanCache.release` on teardown (`DesignSession.close`
-  does) — the bug this module replaces kept those references forever
-  and evicted FIFO, so the hottest pack key could be evicted while dead
-  sessions stayed pinned.
-* **On-disk artifact layer** (opt-in via :func:`configure_plan_cache`
-  or ``repro serve --plan-cache DIR``): on a memory miss the merged
-  topology is looked up by a content fingerprint of every sample's
-  topology arrays — same pattern as the config-hashed dataset cache —
-  so a restarted or newly spawned fleet worker warm-starts without
-  re-merging.  Writes are atomic and corrupt files degrade to a miss.
+Entries are keyed by the identity of each sample's ``plans`` list (plans
+capture pure topology, immutable after the sample build — what-if edits
+only mutate feature arrays in place).  Entries keep strong references to
+the keyed ``plans`` lists so a key's ``id`` can never be recycled while
+cached; the flip side is that entries pin sample topology in memory, so
+sessions **must** call :meth:`PackPlanCache.release` on teardown
+(`DesignSession.close` does) — the bug this module replaces kept those
+references forever and evicted FIFO, so the hottest pack key could be
+evicted while dead sessions stayed pinned.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.utils import get_logger
-from repro.utils.atomic import atomic_pickle_dump, load_pickle_or_none
-
-logger = get_logger("ml.plancache")
-
-#: Bump when the cached topology payload layout changes — stale disk
-#: entries are then simply never looked up (different key).
-PLAN_CACHE_VERSION = 1
-
-
-def topology_fingerprint(sample) -> str:
-    """Content hash of a sample's pack-relevant topology (memoized).
-
-    Covers everything :func:`repro.ml.batch.build_pack_topology` reads:
-    node/endpoint counts and ids, levels, and every LevelPlan array.
-    Feature arrays are deliberately excluded — edits touch only those.
-    """
-    fp = getattr(sample, "_topo_fingerprint", None)
-    if fp is None:
-        h = hashlib.sha256()
-        h.update(f"v{PLAN_CACHE_VERSION}:{sample.n_nodes}".encode())
-        arrays = [sample.level, sample.source_nodes,
-                  sample.endpoint_nodes, sample.endpoint_pins]
-        for plan in sample.plans:
-            arrays += [plan.net_nodes, plan.net_drivers,
-                       plan.cell_nodes, plan.cell_preds]
-        for arr in arrays:
-            h.update(str(np.asarray(arr).shape).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        fp = h.hexdigest()
-        sample._topo_fingerprint = fp
-    return fp
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 
 class PackPlanCache:
-    """LRU of merged pack topologies with an optional disk layer."""
+    """LRU of merged pack topologies."""
 
-    def __init__(self, capacity: int = 64,
-                 cache_dir: Optional[Path] = None) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         self.capacity = int(capacity)
-        self.cache_dir = Path(cache_dir) if cache_dir else None
         self._entries: "OrderedDict[Tuple[int, ...], tuple]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._disk_hits = 0
 
-    # ------------------------------------------------------------------
     def topology(self, samples: Sequence[Any],
                  build: Callable[[Sequence[Any]], Dict[str, Any]]
                  ) -> Dict[str, Any]:
@@ -95,10 +46,7 @@ class PackPlanCache:
                 self._hits += 1
                 return hit[1]
             self._misses += 1
-        topo = self._disk_load(samples)
-        if topo is None:
-            topo = build(samples)
-            self._disk_store(samples, topo)
+        topo = build(samples)
         with self._lock:
             if key not in self._entries:
                 while len(self._entries) >= self.capacity:
@@ -130,46 +78,8 @@ class PackPlanCache:
         with self._lock:
             return {"entries": len(self._entries),
                     "capacity": self.capacity,
-                    "hits": self._hits, "misses": self._misses,
-                    "disk_hits": self._disk_hits,
-                    "cache_dir": str(self.cache_dir)
-                    if self.cache_dir else None}
-
-    # ------------------------------------------------------------------
-    def _disk_path(self, samples: Sequence[Any]) -> Optional[Path]:
-        if self.cache_dir is None or len(samples) < 2:
-            return None  # pack-of-one topology is trivially rebuilt
-        h = hashlib.sha256(f"plancache-v{PLAN_CACHE_VERSION}".encode())
-        for s in samples:
-            h.update(topology_fingerprint(s).encode())
-        return self.cache_dir / f"plan_{h.hexdigest()[:16]}.pkl"
-
-    def _disk_load(self, samples: Sequence[Any]) -> Optional[Dict[str, Any]]:
-        path = self._disk_path(samples)
-        if path is None:
-            return None
-        topo = load_pickle_or_none(path, logger)
-        if topo is not None:
-            self._disk_hits += 1
-        return topo
-
-    def _disk_store(self, samples: Sequence[Any],
-                    topo: Dict[str, Any]) -> None:
-        path = self._disk_path(samples)
-        if path is None or path.exists():
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_pickle_dump(topo, path)
-        except OSError as exc:  # cache is best-effort, never fatal
-            logger.warning("could not persist plan cache %s (%s)", path, exc)
+                    "hits": self._hits, "misses": self._misses}
 
 
 #: Process-wide cache used by :meth:`repro.ml.batch.PackedBatch.pack`.
 PLAN_CACHE = PackPlanCache()
-
-
-def configure_plan_cache(cache_dir: Optional[Path]) -> PackPlanCache:
-    """Point the process-wide plan cache at a persistent directory."""
-    PLAN_CACHE.cache_dir = Path(cache_dir) if cache_dir else None
-    return PLAN_CACHE

@@ -22,12 +22,6 @@ from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.optim import SGD, Adam
 from repro.nn.init import kaiming_uniform, xavier_uniform
-from repro.nn.workspace import (
-    Workspace,
-    current_workspace,
-    workspace,
-    ws_empty,
-)
 
 __all__ = [
     "PRECISIONS",
@@ -38,10 +32,6 @@ __all__ = [
     "is_inference",
     "load_state_dict",
     "state_dict",
-    "Workspace",
-    "current_workspace",
-    "workspace",
-    "ws_empty",
     "Embedding",
     "Flatten",
     "Linear",

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter, is_inference
-from repro.nn.workspace import ws_empty
 from repro.utils import require
 
 
@@ -17,30 +16,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int,
     """(N, C, H, W) → (N, C*kh*kw, H_out*W_out) patch matrix (stride 1)."""
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    h_out = h + 2 * pad - kh + 1
-    w_out = w + 2 * pad - kw + 1
-    s0, s1, s2, s3 = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, kh, kw, h_out, w_out),
-        strides=(s0, s1, s2, s3, s2, s3), writeable=False)
-    cols = patches.reshape(n, c * kh * kw, h_out * w_out)
-    return np.ascontiguousarray(cols), (n, c, h, w, h_out, w_out)
-
-
-def _im2col_ws(x: np.ndarray, kh: int, kw: int,
-               pad: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Arena-backed :func:`_im2col` for the inference path.
-
-    Same patch matrix bit-for-bit; the zero-padded image and the patch
-    buffer both come from the active workspace instead of fresh
-    allocations (``np.pad`` + the overlapping-stride reshape copy are
-    the two big transient buffers of a conv forward).
-    """
-    n, c, h, w = x.shape
-    if pad:
-        padded = ws_empty((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
-        padded.fill(0.0)
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
         padded[:, :, pad:-pad, pad:-pad] = x
         x = padded
     h_out = h + 2 * pad - kh + 1
@@ -49,7 +25,7 @@ def _im2col_ws(x: np.ndarray, kh: int, kw: int,
     patches = np.lib.stride_tricks.as_strided(
         x, shape=(n, c, kh, kw, h_out, w_out),
         strides=(s0, s1, s2, s3, s2, s3), writeable=False)
-    cols = ws_empty((n, c * kh * kw, h_out * w_out), x.dtype)
+    cols = np.empty((n, c * kh * kw, h_out * w_out), x.dtype)
     np.copyto(cols.reshape(n, c, kh, kw, h_out, w_out), patches)
     return cols, (n, c, h, w, h_out, w_out)
 
@@ -103,15 +79,15 @@ class Conv2d(Module):
             if self._w_eff is not None:
                 w_flat, bias = self._w_eff, self._b_eff
                 if x.dtype != w_flat.dtype:
-                    cast = ws_empty(x.shape, w_flat.dtype)
+                    cast = np.empty(x.shape, w_flat.dtype)
                     np.copyto(cast, x)
                     x = cast
             else:
                 w_flat = self.weight.data.reshape(self.weight.shape[0], -1)
                 bias = self.bias.data
-            cols, meta = _im2col_ws(x, k, k, self.padding)
+            cols, meta = _im2col(x, k, k, self.padding)
             n, _, _, _, h_out, w_out = meta
-            out = ws_empty((n, w_flat.shape[0], cols.shape[2]), w_flat.dtype)
+            out = np.empty((n, w_flat.shape[0], cols.shape[2]), w_flat.dtype)
             np.matmul(w_flat, cols, out=out)
             out += bias[None, :, None]
             return out.reshape(n, self.weight.shape[0], h_out, w_out)
@@ -159,9 +135,9 @@ class MaxPool2d(Module):
                 # reduce pays its per-output overhead on 2 elements).
                 half = (n, c, h // 2, w // 2)
                 a = np.maximum(x[:, :, ::2, ::2], x[:, :, ::2, 1::2],
-                               out=ws_empty(half, x.dtype))
+                               out=np.empty(half, x.dtype))
                 b = np.maximum(x[:, :, 1::2, ::2], x[:, :, 1::2, 1::2],
-                               out=ws_empty(half, x.dtype))
+                               out=np.empty(half, x.dtype))
                 return np.maximum(a, b, out=a)
             blocks = x.reshape(n, c, h // k, k, w // k, k)
             return blocks.max(axis=5).max(axis=3)

@@ -8,15 +8,14 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter, is_inference
-from repro.nn.workspace import ws_empty
 from repro.utils import require
 
 
 def _cast_input(x: np.ndarray, dtype) -> np.ndarray:
-    """Arena-backed dtype cast (no-op when dtypes already match)."""
+    """Dtype cast for the inference path (no-op when dtypes already match)."""
     if x.dtype == dtype:
         return x
-    out = ws_empty(x.shape, dtype)
+    out = np.empty(x.shape, dtype)
     np.copyto(out, x)
     return out
 
@@ -51,7 +50,7 @@ class Linear(Module):
         if is_inference():
             w = self._w_eff if self._w_eff is not None else self.weight.data
             x = _cast_input(x, w.dtype)
-            out = ws_empty((x.shape[0], w.shape[0]), w.dtype)
+            out = np.empty((x.shape[0], w.shape[0]), w.dtype)
             np.matmul(x, w.T, out=out)
             if self.bias is not None:
                 out += (self._b_eff if self._b_eff is not None
@@ -106,7 +105,7 @@ class Embedding(Module):
         if is_inference():
             w = self._w_eff if self._w_eff is not None else self.weight.data
             return np.take(w, ids, axis=0,
-                           out=ws_empty((len(ids), w.shape[1]), w.dtype))
+                           out=np.empty((len(ids), w.shape[1]), w.dtype))
         require(self.precision == "fp64",
                 f"training requires fp64 precision, not {self.precision!r}")
         self._cache.append(np.asarray(ids))
@@ -126,7 +125,7 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if is_inference():
-            return np.maximum(x, 0.0, out=ws_empty(x.shape, x.dtype))
+            return np.maximum(x, 0.0, out=np.empty(x.shape, x.dtype))
         mask = x > 0
         self._cache.append(mask)
         return x * mask
@@ -144,7 +143,7 @@ class Tanh(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if is_inference():
-            return np.tanh(x, out=ws_empty(x.shape, x.dtype))
+            return np.tanh(x, out=np.empty(x.shape, x.dtype))
         out = np.tanh(x)
         self._cache.append(out)
         return out

@@ -21,7 +21,7 @@ from repro.utils import require
 
 _INFERENCE = threading.local()
 
-#: Inference precision tiers (see DESIGN.md "Precision & memory tiers").
+#: Inference precision tiers (see DESIGN.md "Precision & plan-cache tiers").
 #: ``fp64`` is the bit-exact default; ``fp32`` runs the whole forward in
 #: single precision.
 PRECISIONS = ("fp64", "fp32")

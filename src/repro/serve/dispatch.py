@@ -226,7 +226,7 @@ class RequestDispatcher:
             worst=report.get("worst")).to_wire()
 
     def _delete(self, design: str, deadline: Deadline) -> Dict[str, Any]:
-        """Evict one design: release its session's caches and arenas.
+        """Evict one design: release its session's caches.
 
         The close happens *before* the pop so a concurrent request that
         already holds the session object either finishes first (close

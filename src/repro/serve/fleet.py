@@ -60,8 +60,9 @@ from repro.serve.dispatch import (
     unknown_design_error,
 )
 from repro.serve.session import DesignSession
-from repro.serve.worker import freeze_weights, limit_blas_threads, worker_main
+from repro.serve.worker import freeze_weights, worker_main
 from repro.utils import get_logger, require
+from repro.utils.blas import limit_blas_threads
 
 logger = get_logger("serve.fleet")
 
@@ -113,7 +114,6 @@ class FleetConfig:
     tracing: bool = False
     start_timeout_s: float = 120.0   # worker boot + session open budget
     precision: str = "fp64"          # inference tier: fp64 | fp32
-    plan_cache_dir: Optional[str] = None  # persistent packed-plan cache
     session_ttl_s: Optional[float] = None  # idle-session eviction TTL
     corners: Tuple[str, ...] = ("base",)  # sign-off corners every worker serves
     partition_pins: Optional[int] = None  # streaming chunk-size hint
@@ -231,6 +231,7 @@ class TimingFleet:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
+        self._held: Callable[[], List[Any]] = list
         self._started = False
         self._up = False     # start() returned: open failures are respawns
         self._stopped = False
@@ -297,8 +298,10 @@ class TimingFleet:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         # Under fork the arguments are inherited, not pickled: the
         # worker's weights are this process's payload arrays, and it
-        # closes the copies of this process's pipe ends that it gets.
+        # closes the copies of this process's pipe ends and of the
+        # gateway's sockets (listener, wake pair, clients) that it gets.
         inherited = ([parent_conn] + [w.conn for w in self.workers]
+                     + self._held()
                      if self._ctx.get_start_method() == "fork" else [])
         process = self._ctx.Process(
             target=worker_main,
@@ -354,8 +357,15 @@ class TimingFleet:
     def all_drained(self) -> bool:
         return all(w.drained or not w.alive for w in self.workers)
 
-    def attach(self, post: Callable[[Callable[[], None]], None]) -> None:
-        """Nothing to attach: replies reach the loop through :meth:`pump`."""
+    def attach(self, post: Callable[[Callable[[], None]], None],
+               held: Callable[[], List[Any]] = list) -> None:
+        """Take the gateway's ``held()``: the sockets it holds right now.
+
+        Replies reach the loop through :meth:`pump`, so *post* is not
+        needed.  A worker respawned while the gateway serves is forked
+        from it and closes those sockets first (see :meth:`_spawn`).
+        """
+        self._held = held
 
     # ------------------------------------------------------------------
     # Routing + submission (called from the gateway loop)
@@ -670,9 +680,10 @@ class InProcessBackend:
         """The served designs (keys); DELETE and idle eviction drop them."""
         return self.dispatcher.sessions
 
-    def attach(self, post: Callable[[Callable[[], None]], None]) -> None:
+    def attach(self, post: Callable[[Callable[[], None]], None],
+               held: Callable[[], List[Any]] = list) -> None:
         """Take the gateway's thread-safe ``post(fn)``: runs ``fn`` on the
-        loop thread."""
+        loop thread.  Nothing is forked, so *held* is not needed."""
         self._post = post
 
     def worker_for(self, design: Optional[str]) -> "InProcessBackend":

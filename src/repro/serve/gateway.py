@@ -26,7 +26,10 @@ concurrency is bounded by the backend's queues, not by gateway threads.
 Input limits: a header block over 64 KiB gets a 431, a
 ``Content-Length`` over 16 MiB a 413, and a malformed request line or
 ``Content-Length`` a 400.  Each is a canonical error body followed by a
-close; the loop keeps serving.
+close; the loop keeps serving.  So does an exception raised while
+serving one connection (parse, flush, response) or running a posted
+callback: the connection gets a canonical 500 ``internal`` body if no
+response to it has started, is closed, and ``gateway.faults`` counts it.
 
 Responses carry an ``X-Repro-Worker`` header naming the worker id that
 served them (``-`` for gateway-answered routes), which the affinity
@@ -44,6 +47,7 @@ import collections
 import json
 import selectors
 import socket
+import sys
 import threading
 import time
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -91,6 +95,8 @@ class _Client:
         #: reset the connection, which can destroy the response before
         #: the client reads it.
         self.linger_until: Optional[float] = None
+        #: Set once an exception was contained on this connection.
+        self.faulted = False
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -117,7 +123,11 @@ class _Exchange:
         if self.done:
             return
         self.done = True
-        self.gateway._finish_exchange(self, status, payload, extra_headers)
+        try:
+            self.gateway._finish_exchange(self, status, payload,
+                                          extra_headers)
+        except Exception:  # noqa: BLE001 — one connection's fault
+            self.gateway._fault(self.client)
 
 
 class TimingGateway:
@@ -146,7 +156,7 @@ class TimingGateway:
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._posted: Deque[Callable[[], None]] = collections.deque()
-        fleet.attach(self.call_soon_threadsafe)
+        fleet.attach(self.call_soon_threadsafe, self._sockets)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -161,6 +171,13 @@ class TimingGateway:
             lst.setblocking(False)
             self._listener = lst
         return self.address
+
+    def _sockets(self) -> List[socket.socket]:
+        """Every socket this gateway holds: listener, wake pair, clients."""
+        held = [self._wake_r, self._wake_w]
+        if self._listener is not None:
+            held.append(self._listener)
+        return held + [c.sock for c in self._clients.values()]
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -280,20 +297,50 @@ class TimingGateway:
     def _on_event(self, key: selectors.SelectorKey) -> None:
         kind = key.data[0]
         if kind == "accept":
-            self._accept()
+            self._guarded(self._accept)
         elif kind == "wake":
             try:
                 self._wake_r.recv(4096)
             except OSError:
                 pass
             while self._posted:
-                self._posted.popleft()()
+                self._guarded(self._posted.popleft())
         elif kind == "client":
-            self._client_io(key.data[1], key.events)
+            client = key.data[1]
+            try:
+                self._client_io(client, key.events)
+            except Exception:  # noqa: BLE001 — one connection's fault
+                self._fault(client)
         elif kind == "worker":
             self.fleet.pump(key.data[1])
         elif kind == "sentinel":
             self._worker_died(key.data[1])
+
+    def _guarded(self, fn: Callable[[], None]) -> None:
+        """Run an accept or a posted callback; an exception is logged and
+        counted instead of ending the loop."""
+        try:
+            fn()
+        except Exception:  # noqa: BLE001 — keep serving everyone else
+            logger.exception("gateway fault outside any connection")
+            get_metrics().counter("gateway.faults").inc()
+
+    def _fault(self, client: _Client) -> None:
+        """Contain an exception raised while serving *client*: a 500
+        ``internal`` body if no response to it has started, then close."""
+        logger.exception("gateway fault on connection %s", client.addr)
+        if client.faulted:  # the 500 itself failed
+            self._drop(client)
+            return
+        client.faulted = True
+        get_metrics().counter("gateway.faults").inc()
+        if (client.fileno() not in self._clients or client.wbuf
+                or client.linger_until is not None):
+            self._drop(client)
+            return
+        exc = sys.exc_info()[1]
+        self._reject(client, 500, "internal",
+                     f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     # Worker plumbing

@@ -159,8 +159,8 @@ class DesignSession:
         self.corners: Tuple[str, ...] = corners
         self._corner_idx = tuple(model_corners.index(c) for c in corners)
         # With no external infer callable the session is the predictor's
-        # only user, so closing the session may release the predictor's
-        # inference arena too (shared predictors keep theirs).
+        # only user, so closing the session may drain the model's layer
+        # caches too (shared predictors keep theirs).
         self._owns_model = infer is None
         self._infer = _normalize_infer(
             infer if infer is not None else predictor.predict_array)
@@ -411,8 +411,8 @@ class DesignSession:
 
         Frees the merged-plan cache entries keyed by this design's
         sample, the cached baseline predictions, and — when the session
-        owns its predictor — the predictor's inference buffer arena, so
-        a deleted/evicted design's memory actually returns to the OS
+        owns its predictor — the model's layer caches, so a
+        deleted/evicted design's memory actually returns to the OS
         instead of living on in process-wide caches (the leak this
         method exists to close).
 
@@ -429,7 +429,6 @@ class DesignSession:
             released = PLAN_CACHE.release(self.sample)
             self._baseline = None
             if self._owns_model:
-                self.predictor.release_workspace()
                 self.predictor.model.drain_caches()
         get_metrics().counter("serve.sessions_closed").inc()
         logger.info("session %s: closed (%d plan-cache entries released)",

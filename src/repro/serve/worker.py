@@ -58,6 +58,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.obs import get_metrics, get_tracer
 from repro.obs.merge import worker_trace_path
 from repro.obs.trace import configure_tracing
+from repro.utils.blas import limit_blas_threads
 
 #: Seconds an idle worker waits on its pipe before it checks that the
 #: gateway that forked it is still its parent.
@@ -88,38 +89,6 @@ def shared_predictor(payload: Dict[str, Any], precision: str):
     return predictor
 
 
-def limit_blas_threads(threads: int) -> Optional[int]:
-    """Cap numpy's bundled OpenBLAS at *threads* threads in this process.
-
-    The library reads no environment variable after it loads.  The
-    fleet calls this before it forks, so the workers inherit the cap: a
-    forked child has no BLAS thread pool, and setting the count there
-    starts one whose threads spin for about 0.1 s of CPU, so an equal
-    count is left alone.  Returns *threads*, or ``None`` (and changes
-    nothing) where numpy ships no ``scipy_openblas`` library.
-    """
-    import ctypes
-    import glob
-
-    import numpy as np
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "*openblas*")
-    for path in sorted(glob.glob(libs)):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        if get() != threads:
-            put(threads)
-        return threads
-    return None
-
-
 def worker_main(conn, worker_id: int, config,
                 payload: Dict[str, Any], parent_pid: Optional[int] = None,
                 inherited: Sequence[Any] = (),
@@ -130,17 +99,19 @@ def worker_main(conn, worker_id: int, config,
     is the artifact payload the weights are read from.  *parent_pid* is
     the gateway's pid: the worker exits once its parent is another
     process.  *inherited* are the gateway's ends of every fleet pipe
-    that a fork copied into this process (this worker's own included);
-    they are closed first, so a gateway that dies unstopped leaves this
-    worker at the end of its pipe (EOF) instead of waiting forever.
+    that a fork copied into this process (this worker's own included)
+    and, for a worker respawned while the gateway serves, the gateway's
+    sockets; they are closed first, so a gateway that dies unstopped
+    leaves this worker at the end of its pipe (EOF) instead of waiting
+    forever, and a client connection the gateway closes reads EOF.
     *blas_threads* is this worker's share of the CPUs for BLAS calls,
-    already set by a forking gateway (see :func:`limit_blas_threads`);
+    already set by a forking gateway (see
+    :func:`repro.utils.blas.limit_blas_threads`);
     ``None`` leaves BLAS as it is.
     """
     for end in inherited:
         end.close()
     # Local imports keep module import light for the parent process.
-    from repro.ml.plancache import configure_plan_cache
     from repro.serve.batcher import MicroBatcher
     from repro.serve.dispatch import RequestDispatcher
     from repro.serve.factory import SessionFactory
@@ -172,8 +143,6 @@ def worker_main(conn, worker_id: int, config,
     get_metrics().gauge("serve.worker.id").set(worker_id)
 
     predictor = shared_predictor(payload, config.precision)
-    if config.plan_cache_dir:
-        configure_plan_cache(config.plan_cache_dir)
     batcher = None
     if config.microbatch > 1:
         batcher = MicroBatcher(

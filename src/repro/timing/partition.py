@@ -30,14 +30,14 @@ Terminology:
 
 Import discipline: this module sits in ``repro.timing`` but must serve
 ``repro.ml`` (featurization) and ``repro.core`` (the GNN), so at import
-time it depends only on numpy and ``repro.utils``; ``LevelPlan`` and the
-nn ``Workspace`` are imported inside functions to avoid package cycles.
+time it depends only on numpy and ``repro.utils``; ``LevelPlan`` is
+imported inside a function to avoid a package cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,26 +179,27 @@ class StreamPlan:
     chunks: List[ChunkExec]
     max_rows: int                  # widest chunk buffer
     max_live: int                  # widest frontier carried between chunks
-    _ws: Any = field(default=None, repr=False, compare=False)
+    _slabs: Dict[Tuple[int, str], Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
-    def scratch_workspace(self, hidden: int) -> Any:
-        """A dedicated byte-capped arena reused chunk over chunk.
+    def slabs(self, hidden: int,
+              dtype: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """The plan's two padded ``(max_rows, hidden)`` scratch slabs.
 
-        It holds exactly two *padded* ``(max_rows, hidden)`` slabs (the
-        propagation buffer and the max-reduction destination) that every
-        chunk slices down and borrows — entering it per chunk rewinds
-        the cursors, so chunk *k+1* (and every later request on this
-        plan) reuses chunk *k*'s slabs.  Padding is what makes the reuse
-        real: per-chunk true shapes differ, and pooling those would
-        retain every chunk's buffers at once.  The cap leaves room for
-        the two fp64 slabs plus a reduced-precision pair after a tier
-        switch; anything beyond that is trimmed at the next entry.
+        The propagation buffer and the max-reduction destination; every
+        chunk slices them down, so chunk *k+1* (and every later request
+        on this plan) reuses chunk *k*'s slabs.  Padding is what makes
+        the reuse real: per-chunk true shapes differ, and keeping those
+        would hold every chunk's buffers at once.  One pair per dtype,
+        so a precision switch adds a pair instead of reallocating.
         """
-        if self._ws is None:
-            from repro.nn.workspace import Workspace
-            cap = 4 * self.max_rows * hidden * 8
-            self._ws = Workspace(max_bytes=max(cap, 8 << 20))
-        return self._ws
+        key = (hidden, np.dtype(dtype).str)
+        pair = self._slabs.get(key)
+        if pair is None:
+            shape = (self.max_rows, hidden)
+            pair = self._slabs[key] = (np.empty(shape, dtype=dtype),
+                                       np.empty(shape, dtype=dtype))
+        return pair
 
 
 def build_stream_plan(sample: Any, partition: Any) -> StreamPlan:

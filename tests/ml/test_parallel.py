@@ -8,18 +8,24 @@ The central promises of :mod:`repro.ml.parallel` under test:
   ``RuntimeError`` from :func:`build_dataset`) without losing the other
   designs, and
 * worker spans are merged back into the parent tracer so profiling a
-  parallel run drops nothing.
+  parallel run drops nothing, and
+* each worker runs BLAS on its share of the CPUs, and the parent gets
+  its own thread count back once the pool has exited.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.flow import FlowConfig
 from repro.ml import build_dataset, build_dataset_report
+from repro.ml.parallel import run_design_tasks
 from repro.obs import get_tracer
 from repro.obs.profile import aggregate_trace
+from repro.utils.blas import blas_threads, limit_blas_threads
 
 CFG = FlowConfig(scale=0.15)
 DESIGNS = ["xgate", "steelcore"]
@@ -144,3 +150,27 @@ def test_worker_spans_merged_into_parent_trace(clean_tracer):
                 f"{design}/{stage} dropped in merge"
     rows = {r["design"]: r for r in profile.table3_rows()}
     assert set(DESIGNS) <= set(rows)
+
+
+def _report_blas(design):
+    return blas_threads(), "built"
+
+
+@pytest.mark.skipif(blas_threads() is None,
+                    reason="numpy bundles no scipy_openblas here")
+def test_pool_caps_blas_threads_and_restores_the_parent():
+    """Each forked worker runs BLAS on its share of the CPUs (no N x cpus
+    thread oversubscription), and the parent gets its own count back
+    for whatever runs after the pool (the bootstrap fit)."""
+    before = blas_threads()
+    # A parent count above any cap, so a restore is told from a cap.
+    limit_blas_threads(3)
+    try:
+        values, report = run_design_tasks(_report_blas, ["a", "b"], (),
+                                          jobs=2, span="test.blas")
+        assert report.ok and report.jobs == 2
+        cap = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert values == [cap, cap]
+        assert blas_threads() == 3
+    finally:
+        limit_blas_threads(before)

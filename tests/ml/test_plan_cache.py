@@ -1,4 +1,4 @@
-"""PackPlanCache: LRU behavior, release-on-teardown, disk layer."""
+"""PackPlanCache: LRU behavior and release-on-teardown."""
 
 from __future__ import annotations
 
@@ -7,18 +7,13 @@ import weakref
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from repro.ml.batch import PackedBatch
-from repro.ml.plancache import (
-    PLAN_CACHE,
-    PackPlanCache,
-    topology_fingerprint,
-)
+from repro.ml.plancache import PLAN_CACHE, PackPlanCache
 
 
 def _fake_sample(n_nodes: int = 8, seed: int = 0) -> SimpleNamespace:
-    """A stub with exactly the topology attrs the cache reads."""
+    """A stub sample whose topology differs per seed."""
     rng = np.random.default_rng(seed)
     plan = SimpleNamespace(
         net_nodes=rng.integers(0, n_nodes, 4),
@@ -109,66 +104,6 @@ def test_release_drops_multi_sample_packs_too():
     cache.topology([b], build)
     assert cache.release(a) == 2      # [a] and [a, b]
     assert cache.describe()["entries"] == 1
-
-
-def test_fingerprint_is_content_based_and_memoized():
-    a1, a2 = _fake_sample(seed=7), _fake_sample(seed=7)
-    b = _fake_sample(seed=8)
-    assert topology_fingerprint(a1) == topology_fingerprint(a2)
-    assert topology_fingerprint(a1) != topology_fingerprint(b)
-    assert a1._topo_fingerprint == topology_fingerprint(a1)
-
-
-def test_disk_layer_warm_starts_a_fresh_cache(tmp_path):
-    a, b = _fake_sample(seed=10), _fake_sample(seed=11)
-    payload = {"merged": np.arange(5)}
-    first = PackPlanCache(capacity=4, cache_dir=tmp_path)
-    built = []
-
-    def build(samples):
-        built.append(1)
-        return payload
-
-    first.topology([a, b], build)
-    assert built == [1]
-    assert list(tmp_path.glob("plan_*.pkl"))
-
-    # Same content, different process in spirit: new cache, new stubs.
-    a2, b2 = _fake_sample(seed=10), _fake_sample(seed=11)
-    second = PackPlanCache(capacity=4, cache_dir=tmp_path)
-
-    def must_not_build(samples):  # pragma: no cover - failure path
-        raise AssertionError("disk hit expected, build() called")
-
-    topo = second.topology([a2, b2], must_not_build)
-    np.testing.assert_array_equal(topo["merged"], payload["merged"])
-    assert second.describe()["disk_hits"] == 1
-
-
-def test_pack_of_one_skips_the_disk_layer(tmp_path):
-    cache = PackPlanCache(capacity=4, cache_dir=tmp_path)
-    cache.topology([_fake_sample(seed=12)], lambda ss: {})
-    assert not list(tmp_path.glob("plan_*.pkl"))
-
-
-def test_corrupt_disk_entry_degrades_to_rebuild(tmp_path):
-    a, b = _fake_sample(seed=13), _fake_sample(seed=14)
-    cache = PackPlanCache(capacity=4, cache_dir=tmp_path)
-    cache.topology([a, b], lambda ss: {"v": 1})
-    path = next(tmp_path.glob("plan_*.pkl"))
-    path.write_bytes(b"not a pickle")
-
-    fresh = PackPlanCache(capacity=4, cache_dir=tmp_path)
-    rebuilt = []
-    topo = fresh.topology([_fake_sample(seed=13), _fake_sample(seed=14)],
-                          lambda ss: rebuilt.append(1) or {"v": 2})
-    assert rebuilt == [1]
-    assert topo == {"v": 2}
-    # The corrupt file was replaced by a good copy on the rebuild.
-    reloaded = PackPlanCache(capacity=4, cache_dir=tmp_path)
-    assert reloaded.topology(
-        [_fake_sample(seed=13), _fake_sample(seed=14)],
-        lambda ss: pytest.fail("expected a disk hit")) == {"v": 2}
 
 
 def test_packed_batch_pack_goes_through_the_global_cache(tiny_samples):

@@ -1,9 +1,9 @@
 """Precision tiers: dtype propagation, fp64 bit-identity, artifacts.
 
-The contracts under test (DESIGN.md "Precision & memory tiers"):
+The contracts under test (DESIGN.md "Precision & plan-cache tiers"):
 
-* fp64 is the default and stays **bit-identical** whether or not the
-  buffer arena is active, and across a set-precision round trip;
+* fp64 is the default and stays **bit-identical** across repeat
+  forwards and a set-precision round trip;
 * fp32 mode never silently upcasts — every intermediate and output of
   the GNN/CNN/fusion inference path is float32.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import ModelConfig, TimingPredictor, TrainerConfig
 from repro.ml.batch import PackedBatch
-from repro.nn import PRECISIONS, Workspace, inference_mode, workspace
+from repro.nn import PRECISIONS
 
 
 @pytest.fixture(scope="module")
@@ -130,18 +130,6 @@ def test_fp32_predictions_end_to_end(fitted, tiny_samples):
 # ----------------------------------------------------------------------
 # fp64 bit-identity invariants
 # ----------------------------------------------------------------------
-def test_fp64_identical_with_and_without_workspace(fitted, tiny_samples):
-    fitted.use_workspace = False
-    try:
-        plain = [np.array(a)
-                 for a in fitted.predict_batch_arrays(tiny_samples)]
-    finally:
-        fitted.use_workspace = True
-    arena = fitted.predict_batch_arrays(tiny_samples)
-    for a, b in zip(plain, arena):
-        np.testing.assert_array_equal(np.asarray(b), a)
-
-
 def test_fp64_identical_after_precision_round_trip(fitted, tiny_samples):
     ref = [np.array(a)
            for a in fitted.predict_batch_arrays(tiny_samples)]
@@ -152,29 +140,14 @@ def test_fp64_identical_after_precision_round_trip(fitted, tiny_samples):
         np.testing.assert_array_equal(np.asarray(b), a)
 
 
-def test_workspace_reuse_across_forwards_stays_correct(fitted,
-                                                       tiny_samples):
-    """Repeat warm forwards must not read stale arena contents."""
+def test_slab_reuse_across_forwards_stays_correct(fitted, tiny_samples):
+    """Repeat warm forwards must not read stale stream-slab contents."""
     first = [np.array(a)
              for a in fitted.predict_batch_arrays(tiny_samples)]
     for _ in range(3):
         again = fitted.predict_batch_arrays(tiny_samples)
         for a, b in zip(first, again):
             np.testing.assert_array_equal(np.asarray(b), a)
-
-
-def test_inference_mode_with_explicit_workspace(fitted, tiny_samples):
-    """Direct model forwards under a caller-provided arena match the
-    predictor path (same math, different buffer owner)."""
-    batch = PackedBatch.pack(tiny_samples)
-    with inference_mode():
-        ref = np.array(fitted.model.forward_batch(batch, training=False))
-        fitted.model.drain_caches()
-    ws = Workspace()
-    with inference_mode(), workspace(ws):
-        out = fitted.model.forward_batch(batch, training=False)
-        fitted.model.drain_caches()
-        np.testing.assert_array_equal(np.asarray(out), ref)
 
 
 # ----------------------------------------------------------------------

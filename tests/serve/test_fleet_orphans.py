@@ -10,11 +10,14 @@ Each worker also runs numpy's bundled OpenBLAS at its share of the CPUs
 (``cpus // workers``, at least one) and reports it in ``describe``.  The
 gateway sets the cap before it forks, so a worker inherits it and never
 starts a BLAS thread pool of its own.
+
+A worker respawned after a crash is forked from the serving gateway, so
+it also closes the gateway's sockets it inherited.
 """
 
 from __future__ import annotations
 
-import glob
+import http.client
 import json
 import multiprocessing
 import os
@@ -22,6 +25,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -30,7 +34,9 @@ import pytest
 
 from repro.flow import FlowConfig
 from repro.serve import FleetConfig, TimingFleet
-from repro.serve.worker import limit_blas_threads
+from repro.utils.blas import blas_threads, limit_blas_threads
+
+from .conftest import http_call
 
 pytestmark = [
     pytest.mark.skipif(not os.path.isdir("/proc/self"),
@@ -94,12 +100,6 @@ def test_workers_exit_when_the_gateway_is_killed(tmp_path, served_predictor):
                 os.kill(pid, signal.SIGKILL)
 
 
-def _bundled_openblas() -> bool:
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "*openblas*")
-    return bool(glob.glob(libs))
-
-
 def test_workers_report_their_blas_thread_budget(artifact_payload):
     fleet = TimingFleet(artifact_payload,
                         {"xgate": "xgate", "steelcore": "steelcore"},
@@ -117,12 +117,12 @@ def test_workers_report_their_blas_thread_budget(artifact_payload):
     finally:
         fleet.stop()
     budget = max(1, len(os.sched_getaffinity(0)) // 2)
-    want = budget if _bundled_openblas() else None
+    want = budget if blas_threads() is not None else None
     assert fleet.blas_threads == want
     assert [info["blas_threads"] for info in replies] == [want, want]
 
 
-@pytest.mark.skipif(not _bundled_openblas(),
+@pytest.mark.skipif(blas_threads() is None,
                     reason="numpy bundles no OpenBLAS here")
 def test_a_forked_worker_inherits_the_cap_without_a_thread_pool():
     """With one BLAS thread set before the fork, the child's products run
@@ -142,3 +142,68 @@ def test_a_forked_worker_inherits_the_cap_without_a_thread_pool():
             os._exit(99)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 1
+
+
+def _socket_links(pid) -> set:
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while listing
+        if link.startswith("socket:"):
+            links.add(link)
+    return links
+
+
+def _on_loop(gateway, fn):
+    """Run ``fn()`` on the gateway's loop thread and return its value."""
+    out, done = [], threading.Event()
+    gateway.call_soon_threadsafe(lambda: (out.append(fn()), done.set()))
+    assert done.wait(10.0)
+    return out[0]
+
+
+def test_a_respawned_worker_holds_none_of_the_gateways_sockets(
+        fleet_gateway):
+    """A worker respawned after a crash is forked from the serving
+    gateway; it closes the listener, the wake pair and every client
+    socket it inherited, so a connection the gateway closes reads EOF
+    at the client instead of staying open in the worker."""
+    gateway = fleet_gateway({"xgate": "xgate"}, workers=1, microbatch=1,
+                            flow_config=FlowConfig(scale=0.2))
+    host, port = gateway.address
+    client = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        client.request("GET", "/health")
+        resp = client.getresponse()
+        assert resp.status == 200 and resp.read()
+        held = {os.readlink(f"/proc/self/fd/{sock.fileno()}")
+                for sock in _on_loop(gateway, gateway._sockets)}
+        assert len(held) == 4  # wake pair, listener, the client
+
+        dead = gateway.fleet.workers[0].pid
+        os.kill(dead, signal.SIGKILL)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            status, _, body = http_call(gateway.address, "POST",
+                                        "/predict", {"design": "xgate"},
+                                        timeout=60.0)
+            if (status == 200
+                    and gateway.fleet.workers[0].pid not in (dead, None)):
+                break
+            time.sleep(0.05)
+        replacement = gateway.fleet.workers[0].pid
+        assert replacement != dead and status == 200
+        assert not held & _socket_links(replacement)
+
+        # The gateway closes the connection outright (no shutdown): the
+        # client sees EOF only if no other process holds the socket.
+        peer = client.sock.getsockname()
+        _on_loop(gateway, lambda: [gateway._drop(c)
+                                   for c in list(gateway._clients.values())
+                                   if c.sock.getpeername() == peer])
+        client.sock.settimeout(10.0)
+        assert client.sock.recv(1) == b""
+    finally:
+        client.close()

@@ -3,8 +3,7 @@
 The eviction path must behave identically on both gateway backends (the
 in-process ``--workers 0`` backend and the multi-process fleet), and
 closing a session must actually release what it pinned: plan-cache
-entries, the cached baseline, and — for sessions that own their
-predictor — the inference buffer arena.
+entries and the cached baseline.
 """
 
 from __future__ import annotations
@@ -54,33 +53,19 @@ def test_delete_unknown_design_is_the_canonical_404(own_session):
     assert "nosuch" in err.value.message and "xgate" in err.value.message
 
 
-def test_close_releases_plan_cache_and_arena(own_session):
+def test_close_releases_plan_cache(own_session):
     own_session.predict()
     # The micro-batched serving path packs resident samples into
     # multi-design batches, which is what populates the plan cache with
     # this session's topology (pack-of-one reuses arrays as-is).
     own_session.predictor.predict_batch_arrays([own_session.sample] * 2)
-    assert own_session.predictor._workspace.describe()["buffers"] > 0
     pid = id(own_session.sample.plans)
     assert any(pid in key for key in PLAN_CACHE._entries)
 
     own_session.close()
-    assert own_session.predictor._workspace.describe()["buffers"] == 0
     assert not any(pid in key for key in PLAN_CACHE._entries)
     assert own_session._baseline is None
     own_session.close()  # idempotent
-
-
-def test_shared_predictor_session_keeps_the_arena(fresh_flow,
-                                                  served_predictor):
-    """A batcher-backed session must not drop the shared arena."""
-    session = DesignSession(fresh_flow, served_predictor, seed=0,
-                            infer=served_predictor.predict_array)
-    session.predict()
-    buffers = served_predictor._workspace.describe()["buffers"]
-    assert buffers > 0
-    session.close()
-    assert served_predictor._workspace.describe()["buffers"] == buffers
 
 
 def test_idle_ttl_sweep_evicts_and_notifies(own_session):
