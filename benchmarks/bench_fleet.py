@@ -54,7 +54,7 @@ def _build_fixture():
         trainer_config=TrainerConfig(epochs=2))
     predictor.fit([build_sample(flows[DESIGNS[0]], map_bins=MAP_BINS,
                                 seed=0)])
-    return predictor.to_artifact(), flows
+    return predictor, flows
 
 
 def _post(address, path, body, timeout=60.0):
@@ -112,10 +112,10 @@ def _p(latencies, q):
     return latencies[idx]
 
 
-def _run_fleet(payload, flows, workers, n_requests, n_clients):
+def _run_fleet(predictor, flows, workers, n_requests, n_clients):
     from repro.serve import FleetConfig, TimingFleet, TimingGateway
 
-    fleet = TimingFleet(payload, flows,
+    fleet = TimingFleet(predictor, flows,
                         FleetConfig(workers=workers, threads=2,
                                     microbatch=4, deadline_s=60.0,
                                     queue_depth=64)).start()
@@ -133,16 +133,16 @@ def _run_fleet(payload, flows, workers, n_requests, n_clients):
 def run_benchmark(quick: bool = False) -> dict:
     n_requests = 40 if quick else 160
     n_clients = 8
-    payload, flows = _build_fixture()
+    predictor, flows = _build_fixture()
     cpus = _cpus()
 
-    wall1, lat1, err1 = _run_fleet(payload, flows, 1, n_requests,
+    wall1, lat1, err1 = _run_fleet(predictor, flows, 1, n_requests,
                                    n_clients)
-    wall4, lat4, err4 = _run_fleet(payload, flows, 4, n_requests,
+    wall4, lat4, err4 = _run_fleet(predictor, flows, 4, n_requests,
                                    n_clients)
     # Saturation probe: double the client pressure on the 4-worker
     # fleet; p95 must degrade gracefully, not collapse.
-    wall_sat, lat_sat, err_sat = _run_fleet(payload, flows, 4,
+    wall_sat, lat_sat, err_sat = _run_fleet(predictor, flows, 4,
                                             n_requests, 2 * n_clients)
 
     thr1, thr4 = n_requests / wall1, n_requests / wall4

@@ -51,7 +51,6 @@ _EXPORTS = {
     "SessionFactory": "repro.serve",
     "Edit": "repro.serve",
     "MicroBatcher": "repro.serve",
-    "PredictorRegistry": "repro.serve",
     # Observability
     "configure_tracing": "repro.obs",
     "get_metrics": "repro.obs",
@@ -117,7 +116,6 @@ if TYPE_CHECKING:  # let static analyzers resolve the façade eagerly
         DesignSession,
         Edit,
         MicroBatcher,
-        PredictorRegistry,
         SessionFactory,
     )
     from repro.timing import (  # noqa: F401

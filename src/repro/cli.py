@@ -425,7 +425,7 @@ def cmd_serve(args) -> int:
     Both modes serve through the async gateway, with graceful drain on
     SIGTERM.  ``--workers 0`` (default) keeps the sessions in this
     process; ``--workers N`` starts the sharded fleet: N worker
-    processes that inherit the read-only model weights by fork.  The
+    processes that inherit the read-only predictor by fork.  The
     boot runs with the collector off (see :class:`_BootCollector`),
     imports included.
     """
@@ -446,7 +446,6 @@ def _serve(args, collector: _BootCollector) -> int:
         FleetOpenFailed,
         InProcessBackend,
         MicroBatcher,
-        PredictorRegistry,
         SessionFactory,
         TimingFleet,
         TimingGateway,
@@ -455,17 +454,16 @@ def _serve(args, collector: _BootCollector) -> int:
 
     corner_set = CornerSet.parse(args.corners)
     corner_names = corner_set.names
-    registry = PredictorRegistry()
     have_model = args.model.exists()
     if have_model:
-        # Validate the artifact before paying for any flow.
+        # Load the artifact before paying for any flow.
         try:
-            meta = registry.register("default", args.model)
+            predictor = TimingPredictor.load(args.model)
         except ValueError as exc:   # the message leads with the path
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        map_bins = meta["map_bins"]
-        model_corners = meta.get("corners", ["base"])
+        map_bins = predictor.model_config.map_bins
+        model_corners = list(predictor.model_config.corner_names)
         missing = [c for c in corner_names if c not in model_corners]
         if missing:
             print(f"error: corner(s) {missing} not in model "
@@ -517,15 +515,18 @@ def _serve(args, collector: _BootCollector) -> int:
             model_config=model_config,
             trainer_config=TrainerConfig(epochs=args.bootstrap_epochs))
         predictor.fit(train)
-        registry.register_predictor("default", predictor)
     del train
+    # The process's one model: every session infers through it, and
+    # fleet workers inherit it by fork.
+    if args.precision != predictor.precision:
+        predictor.set_precision(args.precision)
+    predictor.mark_read_only()
 
     config = FleetConfig(workers=args.workers, threads=args.threads,
                          microbatch=args.microbatch,
                          microbatch_wait_ms=args.microbatch_wait_ms,
                          deadline_s=args.deadline,
                          queue_depth=args.queue_depth,
-                         precision=args.precision,
                          session_ttl_s=args.session_ttl,
                          # Ship *specs*: workers re-parse them, which
                          # re-registers any custom corners over there.
@@ -534,28 +535,26 @@ def _serve(args, collector: _BootCollector) -> int:
                          flow_config=flow_config, scenario=args.scenario)
     if args.workers > 0:
         try:
-            backend = TimingFleet(registry.payload("default"), designs,
-                                  config,
+            backend = TimingFleet(predictor, designs, config,
                                   seeds={d: args.seed for d in designs}
                                   ).start()
         except FleetOpenFailed as exc:
             print(f"error: flow failed for {exc}", file=sys.stderr)
             return 1
     else:
-        def acquire():
-            predictor = registry.acquire("default")
-            if args.precision != predictor.precision:
-                predictor.set_precision(args.precision)
-            return predictor
+        from repro.utils.blas import cpu_share, limit_blas_threads
 
+        # The threads that run the model's GEMMs share the CPUs, as
+        # fleet workers do: the batcher's one thread when it is on,
+        # else every request thread.
+        blas_threads = limit_blas_threads(
+            cpu_share(1 if args.microbatch > 1 else args.threads))
         batcher = None
         if args.microbatch > 1:
-            # One shared predictor behind the batcher: only its worker
-            # thread touches the model, so sessions need no private copies.
-            batcher = MicroBatcher(acquire(),
+            batcher = MicroBatcher(predictor,
                                    max_batch=args.microbatch,
                                    max_wait_s=args.microbatch_wait_ms * 1e-3)
-        factory = SessionFactory(acquire, batcher=batcher,
+        factory = SessionFactory(lambda: predictor, batcher=batcher,
                                  flow_config=flow_config,
                                  corners=corner_names,
                                  default_seed=args.seed,
@@ -576,13 +575,12 @@ def _serve(args, collector: _BootCollector) -> int:
         # The sessions own their designs now, so a session evicted by
         # DELETE or the idle TTL leaves nothing of its design behind.
         del designs, inputs
-        backend = InProcessBackend(sessions, config, batcher=batcher)
+        backend = InProcessBackend(sessions, config, batcher=batcher,
+                                   blas_threads=blas_threads)
     gateway = TimingGateway(
         backend, host=args.host, port=args.port,
-        # The registry captured the artifact's own tier; report the
-        # tier the sessions actually serve at.
-        model_info=dict(registry.describe("default"),
-                        precision=args.precision))
+        model_info={"name": "default", **predictor.describe(
+            str(args.model) if have_model else "<memory>")})
     host, port = gateway.bind()
     signal.signal(signal.SIGTERM,
                   lambda signum, frame: gateway.request_drain())

@@ -80,6 +80,34 @@ class TimingPredictor:
         get_metrics().gauge("model.precision_bits").set(
             {"fp64": 64, "fp32": 32}[mode])
 
+    def mark_read_only(self) -> "TimingPredictor":
+        """Make every parameter array read-only; returns the predictor.
+
+        A served predictor is shared by every session of its process
+        (and inherited by fork by every fleet worker): inference only
+        reads the weights, so a write is a bug and raises instead.
+        """
+        for p in self.model.parameters():
+            p.data.flags.writeable = False
+        return self
+
+    def describe(self, path: str = "<memory>") -> Dict[str, Any]:
+        """The served model's metadata; *path* is the artifact it came
+        from (``<memory>`` for a bootstrapped predictor)."""
+        config = self.model_config
+        meta = {
+            "path": path,
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "variant": config.variant,
+            "map_bins": config.map_bins,
+            "precision": self.precision,
+            "n_parameters": sum(p.data.size
+                                for p in self.model.parameters()),
+        }
+        if config.n_corners > 1:
+            meta["corners"] = list(config.corner_names)
+        return meta
+
     # ------------------------------------------------------------------
     def fit(self, train_samples: List[DesignSample]) -> None:
         """Train on prepared samples (see :func:`repro.ml.build_dataset`)."""
@@ -194,8 +222,7 @@ class TimingPredictor:
 
     @classmethod
     def from_artifact(cls, payload: Any,
-                      source: str = "<memory>",
-                      share_state: bool = False) -> "TimingPredictor":
+                      source: str = "<memory>") -> "TimingPredictor":
         """Reconstruct a predictor from a schema-v4 artifact payload.
 
         Anything else — the legacy unversioned pickle, a v2/v3 payload,
@@ -203,12 +230,6 @@ class TimingPredictor:
         "scale"}`` weight entries, or a v4 payload with missing or
         mistyped fields — raises one :class:`ValueError` that names
         *source* and says to re-train or re-save the predictor.
-
-        ``share_state=True`` adopts the payload's weight arrays by
-        reference instead of copying (inference-only; every serving
-        fleet worker's model adopts the read-only arrays it inherited
-        from the gateway by fork — see
-        :func:`repro.serve.worker.shared_predictor`).
         """
         if not isinstance(payload, dict) or "model_config" not in payload:
             raise _invalid_artifact(
@@ -230,7 +251,7 @@ class TimingPredictor:
         try:
             predictor = cls(model_config=ModelConfig(
                 **payload["model_config"]))
-            load_state_dict(predictor.model, state, copy=not share_state)
+            load_state_dict(predictor.model, state)
             predictor.trainer.norm = LabelNorm(
                 mean=payload["norm"]["mean"], std=payload["norm"]["std"])
             precision = payload.get("precision", "fp64")

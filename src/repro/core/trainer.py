@@ -160,14 +160,12 @@ class Trainer:
         require(self.norm is not None, "call fit() before predict()")
         pred = self.model.forward_batch(PackedBatch.pack([sample]),
                                         training=False)
-        self.model.drain_caches()  # inference: no backward will unwind
         return self.norm.denormalize(pred, sample.clock_period)
 
     def predict_packed(self, batch: PackedBatch) -> List[np.ndarray]:
         """One packed forward over *batch*; per-sample arrival arrays (ps)."""
         require(self.norm is not None, "call fit() before predict()")
         pred = self.model.forward_batch(batch, training=False)
-        self.model.drain_caches()
         return batch.split_endpoint_array(
             self.norm.denormalize_packed(pred, batch))
 

@@ -44,7 +44,7 @@ from repro.obs import get_metrics, get_tracer, merge_worker_traces
 from repro.obs.merge import fold_metrics_snapshot, worker_trace_path
 from repro.obs.trace import configure_tracing
 from repro.utils import get_logger
-from repro.utils.blas import capped_blas_threads
+from repro.utils.blas import capped_blas_threads, cpu_share
 
 logger = get_logger("ml.parallel")
 
@@ -167,7 +167,7 @@ def _run_task(task: _Task
     start = time.perf_counter()
     value, status = task.fn(task.design, *task.args)
     return (task.index, value, status, time.perf_counter() - start,
-            os.getpid(), metrics.snapshot())
+            os.getpid(), metrics.snapshot(samples=True))
 
 
 # ----------------------------------------------------------------------
@@ -236,12 +236,10 @@ def _run_pooled(fn: DesignFn, designs: Sequence[str],
     statuses: Dict[int, DesignBuildStatus] = {}
     wall_start = time.perf_counter()
 
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     # Each forked worker inherits its share of the CPUs for BLAS; the
     # parent's own count comes back once the pool has exited.
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as trace_dir, \
-            capped_blas_threads(max(1, cpus // jobs)):
+            capped_blas_threads(cpu_share(jobs)):
         trace_dir_arg = trace_dir if tracer.enabled else None
         executor = _make_executor(jobs, trace_dir_arg)
         generation = 0   # bumped each time a broken pool is replaced

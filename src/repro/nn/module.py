@@ -91,10 +91,12 @@ class Module:
     def drain_caches(self) -> None:
         """Clear per-forward cache state on this module and its children.
 
-        Call after an inference-only ``forward`` (no ``backward`` will
-        unwind the stacks) so the next pass starts from clean caches and
-        captured inputs can be garbage-collected.  This is the public
-        replacement for reaching into a module's ``_cache`` directly.
+        Call after a training-mode ``forward`` that no ``backward`` will
+        unwind, so the next pass starts from clean caches and captured
+        inputs can be garbage-collected.  A forward under
+        :func:`inference_mode` caches nothing and needs no drain.  This
+        is the public replacement for reaching into a module's
+        ``_cache`` directly.
         """
         for module in self.modules():
             module._drain_cache()
@@ -192,25 +194,11 @@ def state_dict(module: Module) -> List[np.ndarray]:
     return [p.data.copy() for p in module.parameters()]
 
 
-def load_state_dict(module: Module, state: List[np.ndarray],
-                    copy: bool = True) -> None:
-    """Restore parameters saved by :func:`state_dict`.
-
-    With ``copy=False`` matching float64 arrays are **adopted by
-    reference** instead of copied — the serving fleet passes the
-    read-only arrays its N worker processes inherit by fork here, so
-    they share one set of weights.  Inference never writes parameter data, so read-only
-    backing is safe; training such a module would raise on the first
-    optimizer step (the arrays are not writable), which is the intended
-    guard.
-    """
+def load_state_dict(module: Module, state: List[np.ndarray]) -> None:
+    """Restore parameters saved by :func:`state_dict` (copied in)."""
     params = module.parameters()
     require(len(params) == len(state), "state size mismatch")
     for p, arr in zip(params, state):
         require(p.data.shape == tuple(np.shape(arr)),
                 f"parameter shape mismatch: {p.data.shape} vs {np.shape(arr)}")
-        if not copy and isinstance(arr, np.ndarray) \
-                and arr.dtype == np.float64:
-            p.data = arr
-        else:
-            p.data[...] = arr
+        p.data[...] = arr

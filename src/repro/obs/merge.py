@@ -10,9 +10,9 @@ the parent calls :func:`merge_worker_traces` to
   and sinks), so ``repro profile`` still produces the full Table III
   per-stage runtime table with no dropped worker spans, and
 * fold each worker's final metrics snapshot into the parent registry
-  (counters summed, gauges last-write; histograms folded approximately —
-  the mean is re-observed ``count - 1`` times plus the max once, which
-  preserves count/total/max but not percentiles).
+  (counters summed, gauges last-write; histograms folded from their
+  count, total and max, which add exactly, and their retained samples,
+  which percentiles are read from).
 
 The reader is deliberately tolerant: a worker killed mid-write leaves a
 truncated last line, which is skipped rather than raised on.
@@ -87,9 +87,12 @@ def fold_metrics_snapshot(metrics: MetricsRegistry,
     """Fold one worker's cumulative snapshot into the parent registry.
 
     Counters are summed, ``trainer.epoch_loss`` gauges are last-write,
-    histogram summaries are folded approximately (count/total/max exact,
-    percentiles not).  Also used by the fleet gateway to merge worker
-    ``/metrics`` snapshots fetched in-band over the worker pipes.
+    histograms add their count, total and max and pool the samples a
+    ``snapshot(samples=True)`` retained (at most one reservoir each;
+    past the reservoir each part keeps a share in proportion to its
+    count, see :meth:`Histogram.fold`).  Also used
+    by the fleet gateway to merge worker ``/metrics`` snapshots fetched
+    in-band over the worker pipes.
     """
     for name, value in snapshot.items():
         try:
@@ -97,17 +100,14 @@ def fold_metrics_snapshot(metrics: MetricsRegistry,
                 count = int(value.get("count", 0))
                 if count <= 0:
                     continue
-                hist = metrics.histogram(name)
-                mean = float(value.get("mean", 0.0))
-                mx = float(value.get("max", mean))
-                for _ in range(max(0, count - 1)):
-                    hist.observe(mean)
-                hist.observe(mx)
+                metrics.histogram(name).fold(
+                    count, float(value["total"]), float(value["max"]),
+                    value.get("samples", []))
             elif name.startswith("trainer.epoch_loss"):
                 metrics.gauge(name).set(float(value))
             else:
                 metrics.counter(name).inc(value)
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             # A name registered under a different instrument type in the
             # parent; observability must never break the build.
             continue

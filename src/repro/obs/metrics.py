@@ -64,6 +64,14 @@ class Gauge:
         return self._value
 
 
+def _strided(values: List[float], k: int) -> List[float]:
+    """*k* of *values*, evenly strided (all of them if *k* covers them)."""
+    n = len(values)
+    if k >= n:
+        return list(values)
+    return [values[i * n // k] for i in range(k)]
+
+
 class Histogram:
     """Distribution of observations with percentile summaries.
 
@@ -92,11 +100,36 @@ class Histogram:
             self._total += value
             if value > self._max:
                 self._max = value
-            if len(self._values) < self.max_samples:
-                self._values.append(value)
-            else:
-                self._values[self._next] = value
-                self._next = (self._next + 1) % self.max_samples
+            self._retain(value)
+
+    def _retain(self, value: float) -> None:
+        if len(self._values) < self.max_samples:
+            self._values.append(value)
+        else:
+            self._values[self._next] = value
+            self._next = (self._next + 1) % self.max_samples
+
+    def fold(self, count: int, total: float, maximum: float,
+             samples: List[float]) -> None:
+        """Add another histogram's *count*, *total* and *maximum*
+        exactly, and pool its retained *samples* with this reservoir's;
+        past capacity, each side keeps an evenly strided share in
+        proportion to the observations it stands for."""
+        samples = [float(value) for value in samples]
+        with self._lock:
+            before = self._count
+            self._count += count
+            self._total += total
+            self._max = max(self._max, maximum)
+            if len(self._values) + len(samples) <= self.max_samples:
+                self._values.extend(samples)
+                return
+            keep = round(self.max_samples * before / max(1, before + count))
+            keep = min(len(self._values),
+                       max(self.max_samples - len(samples), keep))
+            self._values = (_strided(self._values, keep)
+                            + _strided(samples, self.max_samples - keep))
+            self._next = 0
 
     @property
     def count(self) -> int:
@@ -112,22 +145,20 @@ class Histogram:
                           int(round(q / 100.0 * (len(ordered) - 1)))))
         return ordered[rank]
 
-    def summary(self) -> Dict[str, float]:
-        """count / total / mean / p50 / p95 / max in one dict."""
+    def summary(self, samples: bool = False) -> Dict[str, Any]:
+        """count / total / mean / p50 / p95 / max in one dict, plus the
+        retained ``samples`` when asked (what :meth:`fold` takes)."""
         with self._lock:
             count, total, mx = self._count, self._total, self._max
-        if count == 0:
-            nan = float("nan")
-            return {"count": 0, "total": 0.0, "mean": nan,
-                    "p50": nan, "p95": nan, "max": nan}
-        return {
-            "count": count,
-            "total": total,
-            "mean": total / count,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "max": mx,
-        }
+            retained = list(self._values)
+        nan = float("nan")
+        out = {"count": count, "total": total,
+               "mean": total / count if count else nan,
+               "p50": self.percentile(50), "p95": self.percentile(95),
+               "max": mx if count else nan}
+        if samples:
+            out["samples"] = retained
+        return out
 
 
 class MetricsRegistry:
@@ -157,13 +188,18 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """All instruments as plain values (histograms as summaries)."""
+    def snapshot(self, samples: bool = False) -> Dict[str, Any]:
+        """All instruments as plain values (histograms as summaries).
+
+        ``samples=True`` adds each histogram's retained observations, so
+        another process can fold the snapshot in exactly (see
+        :func:`repro.obs.merge.fold_metrics_snapshot`).
+        """
         with self._lock:
             items = list(self._instruments.items())
         out: Dict[str, Any] = {}
         for name, inst in sorted(items):
-            out[name] = (inst.summary() if isinstance(inst, Histogram)
+            out[name] = (inst.summary(samples) if isinstance(inst, Histogram)
                          else inst.value)
         return out
 

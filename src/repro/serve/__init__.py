@@ -10,8 +10,6 @@ Layering (see DESIGN.md):
   re-running the flow.
 * :class:`SessionFactory` — the single session-construction path shared
   by embedders, the fleet workers and the CLI bootstrap.
-* :class:`PredictorRegistry` — validated, versioned model artifacts,
-  served read-only; hands a fresh predictor instance to each session.
 * :class:`RequestDispatcher` — transport-agnostic routing, slot
   accounting, per-request deadlines and structured errors; shared by the
   in-process backend and every fleet worker (bit-identical paths).
@@ -23,7 +21,7 @@ Layering (see DESIGN.md):
   the gateway process, dispatched on a thread pool) or
   :class:`TimingFleet` (``--workers N``: requests sharded by design to
   worker processes that build their own designs and inherit the
-  read-only model weights by fork).
+  process's one read-only predictor by fork).
 """
 
 from repro.serve.api import (
@@ -50,7 +48,6 @@ from repro.serve.fleet import (
     TimingFleet,
 )
 from repro.serve.gateway import TimingGateway
-from repro.serve.registry import PredictorRegistry
 from repro.serve.session import EDIT_OPS, DesignSession, Edit
 
 __all__ = [
@@ -71,7 +68,6 @@ __all__ = [
     "MicroBatcher",
     "PredictRequest",
     "PredictResponse",
-    "PredictorRegistry",
     "RequestDispatcher",
     "SessionFactory",
     "SUPPORTED_API_VERSIONS",

@@ -9,10 +9,9 @@ samples into one :class:`~repro.ml.batch.PackedBatch` and runs **one**
 packed forward (``TimingPredictor.predict_batch_arrays``), then fans the
 per-design slices back out to the blocked callers.
 
-Because the worker is the only thread that touches the model, one
-predictor instance safely serves every session — the per-session
-predictor copies the registry hands out are no longer needed when a
-batcher is in front.
+The worker is the only thread that runs the model's forwards, so the
+packed plans it builds (and their scratch slabs) are used by one thread
+at a time.
 
 Batch formation is the classic two-knob policy: close a batch when
 ``max_batch`` requests are waiting or ``max_wait_s`` has elapsed since

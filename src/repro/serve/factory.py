@@ -6,9 +6,9 @@ for embedders, the fleet worker's ``open_design`` handler, and the CLI's
 wiring and, with MMMC, each needing the same corner plumbing.  The
 factory is now the one place that decides:
 
-* which predictor instance a session gets (the shared one behind a
-  :class:`~repro.serve.MicroBatcher`, or a fresh ``acquire()`` per
-  session when no batcher serializes model access);
+* which predictor a session infers through (the batcher's, behind a
+  :class:`~repro.serve.MicroBatcher`, or ``acquire()``'s — a serving
+  process passes ``lambda: predictor`` for its one shared model);
 * which ``infer`` callable the session routes inference through;
 * which sign-off corners the session serves (validated against the
   model's ``corner_names``);
@@ -40,9 +40,9 @@ class SessionFactory:
     ----------
     acquire:
         ``() -> fitted TimingPredictor``.  Called once per session when
-        no batcher is installed (each session then owns its instance);
-        never called when a batcher is installed (its predictor is
-        shared, and only the batcher thread touches the model).
+        no batcher is installed; never called when a batcher is
+        installed (sessions then infer through the batcher's
+        predictor).
     batcher:
         Optional :class:`~repro.serve.MicroBatcher`; sessions plug its
         list-polymorphic ``submit`` in as their ``infer`` callable.

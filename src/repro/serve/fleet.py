@@ -17,11 +17,10 @@ worker processes (:mod:`repro.serve.worker`):
   :class:`~repro.flow.PreRouteDesign` the gateway already holds (the
   model-less bootstrap).  A design that cannot be built ends
   :meth:`TimingFleet.start` with :class:`FleetOpenFailed`.
-* **Weights by fork.**  The gateway marks the artifact payload's weight
-  arrays read-only and forks the workers; each worker's model adopts
-  those arrays by reference, so the fleet holds one copy of the weights
-  in copy-on-write pages that are never written (see
-  :func:`repro.serve.worker.shared_predictor`).
+* **One model by fork.**  The gateway marks its predictor's weights
+  read-only and forks the workers; each worker serves the predictor it
+  inherits, so the fleet holds one copy of the weights in copy-on-write
+  pages that are never written.
 * **Backpressure.**  Per-worker in-flight queues are bounded
   (``queue_depth``); :meth:`TimingFleet.submit` raises
   :class:`FleetOverloaded` when a shard is full and the gateway turns
@@ -53,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.predictor import TimingPredictor
 from repro.flow import FlowConfig, FlowResult, PreRouteDesign
 from repro.serve.dispatch import (
     ApiError,
@@ -60,9 +60,9 @@ from repro.serve.dispatch import (
     unknown_design_error,
 )
 from repro.serve.session import DesignSession
-from repro.serve.worker import freeze_weights, worker_main
+from repro.serve.worker import worker_main
 from repro.utils import get_logger, require
-from repro.utils.blas import limit_blas_threads
+from repro.utils.blas import cpu_share, limit_blas_threads
 
 logger = get_logger("serve.fleet")
 
@@ -113,7 +113,6 @@ class FleetConfig:
     trace_dir: Optional[str] = None  # per-worker span files land here
     tracing: bool = False
     start_timeout_s: float = 120.0   # worker boot + session open budget
-    precision: str = "fp64"          # inference tier: fp64 | fp32
     session_ttl_s: Optional[float] = None  # idle-session eviction TTL
     corners: Tuple[str, ...] = ("base",)  # sign-off corners every worker serves
     partition_pins: Optional[int] = None  # streaming chunk-size hint
@@ -190,9 +189,13 @@ class WorkerHandle:
 
 
 class TimingFleet:
-    """Owns the worker processes and routes requests to design shards."""
+    """Owns the worker processes and routes requests to design shards.
 
-    def __init__(self, payload: Dict[str, Any],
+    It takes ownership of *predictor* and marks its weights read-only,
+    so a later ``fit`` or weight write on it raises ``ValueError``.
+    """
+
+    def __init__(self, predictor: TimingPredictor,
                  flows: Dict[str, Union[str, PreRouteDesign, FlowResult]],
                  config: Optional[FleetConfig] = None,
                  seeds: Optional[Dict[str, int]] = None) -> None:
@@ -201,8 +204,6 @@ class TimingFleet:
                 "a fleet needs at least one worker (use InProcessBackend "
                 "for --workers 0)")
         require(len(flows) >= 1, "a fleet needs at least one design")
-        require(isinstance(payload, dict) and "state" in payload,
-                "artifact payload must be a dict with a 'state' entry")
         #: design → what its worker opens a session on: the design name
         #: (the worker builds it) or a PreRouteDesign.  Only these cross
         #: the pipe, so no worker (nor a respawn) ever unpickles sign-off
@@ -211,8 +212,8 @@ class TimingFleet:
             d: f.pre_route() if isinstance(f, FlowResult) else f
             for d, f in flows.items()}
         self.seeds = dict(seeds or {})
-        #: Forked workers inherit these arrays; read-only before any fork.
-        self.payload = freeze_weights(payload)
+        #: Forked workers serve this object; read-only before any fork.
+        self.predictor = predictor.mark_read_only()
         self.workers: List[WorkerHandle] = []
         #: design → worker id (sticky shard assignment).
         self.routing: Dict[str, int] = {}
@@ -252,9 +253,7 @@ class TimingFleet:
         require(not self._started, "fleet already started")
         self._started = True
         n = min(self.config.workers, len(self.flows))
-        cpus = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        self.blas_threads = limit_blas_threads(max(1, cpus // n))
+        self.blas_threads = limit_blas_threads(cpu_share(n))
         for wid in range(n):
             self.workers.append(self._spawn(wid))
         for i, design in enumerate(sorted(self.flows)):
@@ -297,7 +296,7 @@ class TimingFleet:
     def _spawn(self, worker_id: int) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         # Under fork the arguments are inherited, not pickled: the
-        # worker's weights are this process's payload arrays, and it
+        # worker's model is this process's predictor, and it
         # closes the copies of this process's pipe ends and of the
         # gateway's sockets (listener, wake pair, clients) that it gets.
         inherited = ([parent_conn] + [w.conn for w in self.workers]
@@ -305,7 +304,7 @@ class TimingFleet:
                      if self._ctx.get_start_method() == "fork" else [])
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker_id, self.config, self.payload,
+            args=(child_conn, worker_id, self.config, self.predictor,
                   os.getpid(), inherited, self.blas_threads),
             name=f"repro-fleet-w{worker_id}",
             daemon=True)
@@ -661,8 +660,10 @@ class InProcessBackend:
 
     def __init__(self, sessions: Dict[str, DesignSession],
                  config: Optional[FleetConfig] = None,
-                 batcher=None) -> None:
+                 batcher=None, blas_threads: Optional[int] = None) -> None:
         self.config = config or FleetConfig(workers=0)
+        #: This process's BLAS thread cap (``None``: left as it is).
+        self.blas_threads = blas_threads
         self.dispatcher = RequestDispatcher(
             sessions,
             max_concurrent=self.config.threads,
@@ -747,7 +748,7 @@ class InProcessBackend:
     def describe(self) -> Dict[str, Any]:
         """Backend bookkeeping for ``/health``."""
         return {"workers": 0, "threads": self.config.threads,
-                "inflight": self.inflight}
+                "inflight": self.inflight, "blas_threads": self.blas_threads}
 
     def stop(self) -> None:
         """Release the pool threads and the micro-batcher (idempotent)."""

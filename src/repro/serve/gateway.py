@@ -640,25 +640,16 @@ class TimingGateway:
 
     def _fold_metrics(self, snapshots: List[Any]) -> Dict[str, Any]:
         """One registry view over the gateway and every worker."""
-        own = get_metrics().snapshot()
         snapshots = [snap for snap in snapshots if isinstance(snap, dict)]
         if not snapshots:
             # No worker registry to merge (the in-process backend records
-            # into this one): folding would flatten every histogram to
-            # its mean, so the snapshot is exact as it is.
-            return own
+            # into this one).
+            return get_metrics().snapshot()
         merged = MetricsRegistry()
-        fold_metrics_snapshot(merged, own)
+        fold_metrics_snapshot(merged, get_metrics().snapshot(samples=True))
         for snap in snapshots:
             fold_metrics_snapshot(merged, snap)
-        out = merged.snapshot()
-        # The gateway's own latency histogram spans every request
-        # end-to-end (client-observed); surface it unfolded so its
-        # percentiles stay exact rather than approximate.
-        for name, value in own.items():
-            if name.startswith("serve.latency_ms"):
-                out[name] = value
-        return out
+        return merged.snapshot()
 
     # ------------------------------------------------------------------
     def _teardown(self) -> None:

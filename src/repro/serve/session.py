@@ -15,9 +15,11 @@ on every call; a :class:`DesignSession` pays them **once**:
 * what-if edits (resize / move) re-featurize only what they touched
   (see :mod:`repro.serve.featurize`) and re-predict.
 
-Sessions are thread-safe (one internal lock — the underlying model's
-forward pass keeps per-layer caches, so calls are serialized per
-session).  Cross-design concurrency comes from running many sessions.
+Sessions are thread-safe: one internal lock serializes the calls of a
+session, whose resident sample (and its stream plan's scratch slabs)
+the forward pass writes.  Cross-design concurrency comes from running
+many sessions, which may all share one predictor: inference writes no
+model state (see DESIGN.md, "One model per process").
 """
 
 from __future__ import annotations
@@ -105,11 +107,9 @@ class DesignSession:
         netlist + placement) and mutates them on committed edits — do
         not share them.
     predictor:
-        A fitted :class:`TimingPredictor`.  Sessions only call its
-        ``predict``; one predictor instance must not be shared across
-        sessions that run concurrently (its forward pass caches state) —
-        unless every session routes inference through a shared
-        *infer* callable that serializes model access (see below).
+        A fitted :class:`TimingPredictor`.  Sessions only run its
+        inference forward, which writes no model state, so one instance
+        may serve every session of a process concurrently.
     infer:
         Optional replacement for ``predictor.predict_array``: a callable
         ``sample -> (E,) arrival array (ps)``.  The micro-batching server
@@ -158,15 +158,11 @@ class DesignSession:
         #: predictions fill the flat ``predictions`` response fields.
         self.corners: Tuple[str, ...] = corners
         self._corner_idx = tuple(model_corners.index(c) for c in corners)
-        # With no external infer callable the session is the predictor's
-        # only user, so closing the session may drain the model's layer
-        # caches too (shared predictors keep theirs).
-        self._owns_model = infer is None
         self._infer = _normalize_infer(
             infer if infer is not None else predictor.predict_array)
         # Cross-corner inference must stay ONE packed forward: the
-        # batcher's submit is list-polymorphic; a session that owns its
-        # predictor packs the corner views itself.
+        # batcher's submit is list-polymorphic; a session without one
+        # packs the corner views itself.
         if infer is not None:
             self._infer_many = self._infer
         else:
@@ -410,11 +406,9 @@ class DesignSession:
         """Release everything the session pinned (idempotent).
 
         Frees the merged-plan cache entries keyed by this design's
-        sample, the cached baseline predictions, and — when the session
-        owns its predictor — the model's layer caches, so a
-        deleted/evicted design's memory actually returns to the OS
-        instead of living on in process-wide caches (the leak this
-        method exists to close).
+        sample and the cached baseline predictions, so a deleted/evicted
+        design's memory actually returns to the OS instead of living on
+        in process-wide caches (the leak this method exists to close).
 
         *deadline_s* bounds the wait for the session lock; ``0.0`` makes
         the close non-blocking (the idle-TTL sweep uses that so a busy
@@ -428,8 +422,6 @@ class DesignSession:
             self._closed = True
             released = PLAN_CACHE.release(self.sample)
             self._baseline = None
-            if self._owns_model:
-                self.predictor.model.drain_caches()
         get_metrics().counter("serve.sessions_closed").inc()
         logger.info("session %s: closed (%d plan-cache entries released)",
                     self.name, released)

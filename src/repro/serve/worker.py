@@ -5,10 +5,10 @@ routes by design-session affinity, so a design's session lives in
 exactly one process at a time).  The process layout mirrors the
 in-process backend so the two paths stay bit-identical:
 
-* the model's parameters **are** the artifact payload's weight arrays
-  (``share_state=True``), inherited from the gateway by ``fork`` and
-  marked read-only (:func:`shared_predictor`): no copy, no shared
-  segment, and a write raises instead of corrupting a sibling;
+* the model **is** the gateway's read-only predictor, inherited by
+  ``fork`` (under the ``spawn`` fallback, its unpickled copy, marked
+  read-only again): no copy, no shared segment, and a write raises
+  instead of corrupting a sibling's copy-on-write pages;
 * per-design :class:`~repro.serve.session.DesignSession` objects are
   built through :class:`~repro.serve.SessionFactory` from whatever the
   ``open`` message carries: a design *name* (the worker runs the
@@ -17,9 +17,10 @@ in-process backend so the two paths stay bit-identical:
   model-less bootstrap, whose gateway already built one).  A
   replacement worker after a crash opens the same way and replays the
   committed-edit journal to restore revisions;
-* concurrent requests run on a small thread pool and funnel their
-  inferences through one :class:`~repro.serve.MicroBatcher`, so a burst
-  within a worker coalesces into a single packed forward;
+* concurrent requests run on a small thread pool and infer through
+  that one predictor, behind one :class:`~repro.serve.MicroBatcher`
+  (a burst within a worker coalesces into a single packed forward)
+  unless ``--microbatch 1``;
 * request handling is the same
   :class:`~repro.serve.dispatch.RequestDispatcher` the in-process
   backend uses.
@@ -65,38 +66,15 @@ from repro.utils.blas import limit_blas_threads
 PARENT_CHECK_S = 1.0
 
 
-def freeze_weights(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Mark *payload*'s weight arrays read-only in place; returns it.
-
-    The gateway calls this before it forks the workers and every worker
-    calls it again at entry: under ``fork`` the arrays are the gateway's
-    own (already read-only) pages, under the ``spawn`` fallback they
-    arrive as writable unpickled copies.
-    """
-    for arr in payload["state"]:
-        arr.flags.writeable = False
-    return payload
-
-
-def shared_predictor(payload: Dict[str, Any], precision: str):
-    """A predictor whose parameters are *payload*'s read-only arrays."""
-    from repro.core.predictor import TimingPredictor
-
-    predictor = TimingPredictor.from_artifact(
-        freeze_weights(payload), source="<fleet>", share_state=True)
-    if precision != predictor.precision:
-        predictor.set_precision(precision)
-    return predictor
-
-
-def worker_main(conn, worker_id: int, config,
-                payload: Dict[str, Any], parent_pid: Optional[int] = None,
+def worker_main(conn, worker_id: int, config, predictor,
+                parent_pid: Optional[int] = None,
                 inherited: Sequence[Any] = (),
                 blas_threads: Optional[int] = None) -> None:
     """Process entry point (importable top-level for any start method).
 
-    *config* is the fleet's :class:`~repro.serve.FleetConfig`; *payload*
-    is the artifact payload the weights are read from.  *parent_pid* is
+    *config* is the fleet's :class:`~repro.serve.FleetConfig`;
+    *predictor* is the fleet's fitted model, at its serving precision;
+    every session of this worker infers through it.  *parent_pid* is
     the gateway's pid: the worker exits once its parent is another
     process.  *inherited* are the gateway's ends of every fleet pipe
     that a fork copied into this process (this worker's own included)
@@ -142,7 +120,9 @@ def worker_main(conn, worker_id: int, config,
     get_metrics().reset()
     get_metrics().gauge("serve.worker.id").set(worker_id)
 
-    predictor = shared_predictor(payload, config.precision)
+    # Under fork these are the gateway's pages, already read-only; under
+    # spawn they arrive as writable unpickled copies.
+    predictor.mark_read_only()
     batcher = None
     if config.microbatch > 1:
         batcher = MicroBatcher(
@@ -193,12 +173,8 @@ def worker_main(conn, worker_id: int, config,
         from repro.timing import CornerSet
 
         corner_names = CornerSet.parse(list(config.corners)).names
-    # Read-only weights need no per-session model copies: the batcher
-    # serializes access when batching is on; otherwise each session gets
-    # its own module instances (caches are per-module, weights still
-    # alias the payload's arrays).
     factory = SessionFactory(
-        lambda: shared_predictor(payload, config.precision),
+        lambda: predictor,
         batcher=batcher, flow_config=config.flow_config,
         corners=corner_names, partition_pins=config.partition_pins,
         scenario=config.scenario)
@@ -256,7 +232,8 @@ def worker_main(conn, worker_id: int, config,
                 _, rid, method, path, body = msg
                 pool.submit(run_request, rid, method, path, body)
             elif kind == "metrics":
-                send(("metrics_reply", msg[1], get_metrics().snapshot()))
+                send(("metrics_reply", msg[1],
+                      get_metrics().snapshot(samples=True)))
             elif kind == "describe":
                 send(("describe_reply", msg[1], describe()))
             elif kind == "drain":
@@ -289,4 +266,4 @@ def _flush_final_metrics(tracer) -> None:
     if tracer.enabled:
         tracer.ingest({"type": "metrics", "pid": os.getpid(),
                        "ts": time.time(),
-                       "snapshot": get_metrics().snapshot()})
+                       "snapshot": get_metrics().snapshot(samples=True)})

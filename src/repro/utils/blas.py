@@ -43,6 +43,13 @@ def blas_threads() -> Optional[int]:
     return None if lib is None else lib[0]()
 
 
+def cpu_share(shares: int) -> int:
+    """One of *shares* equal shares of this process's CPUs, at least 1."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    return max(1, cpus // shares)
+
+
 def limit_blas_threads(threads: int) -> Optional[int]:
     """Cap OpenBLAS at *threads* threads in this process.
 

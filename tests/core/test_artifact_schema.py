@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.core.predictor import ARTIFACT_FORMAT
 from repro.nn import state_dict
-from repro.serve import PredictorRegistry
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +43,20 @@ class TestRoundTrip:
         assert isinstance(payload["model_config"], dict)
         assert isinstance(payload["norm"], dict)
         assert set(payload["norm"]) == {"mean", "std"}
+
+    def test_describe_reports_the_loaded_artifact(self, fitted, tmp_path):
+        path = tmp_path / "model.pkl"
+        fitted.save(path)
+        meta = TimingPredictor.load(path).describe(str(path))
+        assert meta == {
+            "path": str(path),
+            "schema_version": ARTIFACT_SCHEMA_VERSION,
+            "variant": fitted.model_config.variant,
+            "map_bins": fitted.model_config.map_bins,
+            "precision": "fp64",
+            "n_parameters": sum(a.size for a in state_dict(fitted.model)),
+        }
+        assert fitted.describe()["path"] == "<memory>"
 
     def test_unfitted_predictor_refuses_to_save(self, tmp_path):
         predictor = TimingPredictor(ModelConfig(map_bins=32))
@@ -142,13 +155,11 @@ def test_unloadable_artifact_raises_value_error_naming_file(
     path = tmp_path / f"{case}.pkl"
     path.write_bytes(content if isinstance(content, bytes)
                      else pickle.dumps(content))
-    for load in (TimingPredictor.load,
-                 lambda p: PredictorRegistry().register("m", p)):
-        with pytest.raises(ValueError) as exc_info:
-            load(path)
-        message = str(exc_info.value)
-        assert message.startswith(f"{path}: "), message
-        assert "re-train" in message
+    with pytest.raises(ValueError) as exc_info:
+        TimingPredictor.load(path)
+    message = str(exc_info.value)
+    assert message.startswith(f"{path}: "), message
+    assert "re-train" in message
 
 
 class TestDefaultConfigIsolation:

@@ -73,8 +73,15 @@ def artifact_payload(served_predictor):
     return served_predictor.to_artifact()
 
 
+@pytest.fixture(scope="package")
+def fleet_predictor(artifact_payload) -> TimingPredictor:
+    """A private copy of the served predictor to start a fleet with (a
+    fleet marks its predictor's weights read-only)."""
+    return TimingPredictor.from_artifact(artifact_payload)
+
+
 @pytest.fixture
-def fleet_gateway(artifact_payload):
+def fleet_gateway(fleet_predictor):
     """Factory: launch a fleet + gateway, torn down after the test.
 
     Workers receive *copies* of the flows over the pipe, so callers may
@@ -88,7 +95,7 @@ def fleet_gateway(artifact_payload):
                         queue_depth=8)
         defaults.update(config_overrides)
         config = FleetConfig(workers=workers, **defaults)
-        fleet = TimingFleet(artifact_payload, flows, config).start()
+        fleet = TimingFleet(fleet_predictor, flows, config).start()
         gateway = TimingGateway(fleet, host=host, port=port).start()
         launched.append(gateway)
         return gateway

@@ -20,7 +20,6 @@ from repro.ml.dataset import build_corner_samples
 from repro.serve import (
     FleetConfig,
     MicroBatcher,
-    PredictorRegistry,
     RequestDispatcher,
     SessionFactory,
     TimingFleet,
@@ -163,13 +162,9 @@ def test_session_rejects_unknown_corner_names(corner_flow,
         factory.open(pickle.loads(pickle.dumps(corner_flow)))
 
 
-def test_registry_meta_includes_corners(corner_predictor,
-                                        served_predictor):
-    registry = PredictorRegistry()
-    meta = registry.register_predictor("mmmc", corner_predictor)
-    assert meta["corners"] == list(CORNERS)
-    meta = registry.register_predictor("single", served_predictor)
-    assert "corners" not in meta
+def test_model_info_includes_corners(corner_predictor, served_predictor):
+    assert corner_predictor.describe()["corners"] == list(CORNERS)
+    assert "corners" not in served_predictor.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +206,8 @@ def test_multi_corner_fleet_matches_in_process(corner_flow,
         inproc.append((status, _stable(payload)))
 
     fleet = TimingFleet(
-        corner_predictor.to_artifact(), {"xgate": corner_flow},
+        TimingPredictor.from_artifact(corner_predictor.to_artifact()),
+        {"xgate": corner_flow},
         FleetConfig(workers=2, threads=2, microbatch=4, deadline_s=20.0,
                     queue_depth=8, corners=CORNERS)).start()
     gateway = TimingGateway(fleet, port=0).start()
@@ -276,7 +272,7 @@ def test_custom_corner_serves_end_to_end():
     # Fleet workers get the *specs* (a fresh process knows nothing about
     # "hot" until it re-parses them) — the answer must match bit for bit.
     fleet = TimingFleet(
-        predictor.to_artifact(), {"xgate": flow},
+        predictor, {"xgate": flow},
         FleetConfig(workers=1, threads=2, microbatch=4, deadline_s=20.0,
                     queue_depth=8, corners=corner_set.specs)).start()
     gateway = TimingGateway(fleet, port=0).start()

@@ -5,8 +5,8 @@ in front of
 
 * the in-process backend (``repro serve --workers 0``): sessions +
   micro-batcher + ``RequestDispatcher`` on a thread pool, and
-* the sharded fleet (``--workers 4``): worker processes mapping the
-  shared-memory artifact,
+* the sharded fleet (``--workers 4``): worker processes serving the
+  read-only predictor they inherit by fork,
 
 and every response is compared **exactly** — float-for-float on
 predictions, byte-for-byte on error bodies.  Only volatile wall-clock
@@ -15,9 +15,8 @@ normalized away.
 
 This works because both paths share the layers that matter: the same
 ``RequestDispatcher`` routes, the same ``DesignSession`` re-featurizes,
-the same ``MicroBatcher``/``PackedBatch`` computes, and the worker's
-weights are read-only views of the same float64 arrays the in-process
-predictor loads.
+the same ``MicroBatcher``/``PackedBatch`` computes, and the workers'
+weights hold the same float64 values the in-process predictor loads.
 """
 
 from __future__ import annotations
@@ -120,11 +119,11 @@ def inprocess_responses(flows, artifact_payload):
 
 
 @pytest.fixture(scope="module")
-def fleet_responses(flows, artifact_payload):
+def fleet_responses(flows, fleet_predictor):
     """The same stream through the 4-worker fleet over real HTTP."""
     from repro.serve import FleetConfig, TimingFleet, TimingGateway
 
-    fleet = TimingFleet(artifact_payload, flows,
+    fleet = TimingFleet(fleet_predictor, flows,
                         FleetConfig(workers=4, threads=2, microbatch=4,
                                     deadline_s=20.0)).start()
     gateway = TimingGateway(fleet, port=0).start()

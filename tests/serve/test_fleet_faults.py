@@ -110,11 +110,11 @@ class TestKillNineMidRequest:
 
 
     def test_request_sent_before_the_death_is_seen_is_rehomed(
-            self, xgate_flow, artifact_payload):
+            self, xgate_flow, fleet_predictor):
         """A worker that is dead but not yet reaped by the loop refuses
         the pipe write; the request is re-homed with the worker's other
         in-flight requests instead of failing the gateway (no 500)."""
-        fleet = TimingFleet(artifact_payload, {"xgate": xgate_flow},
+        fleet = TimingFleet(fleet_predictor, {"xgate": xgate_flow},
                             FleetConfig(workers=1, threads=1,
                                         microbatch=1)).start()
         try:

@@ -51,12 +51,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 GATEWAY = textwrap.dedent("""
     import json, os, signal, sys
     from repro.flow import FlowConfig
-    from repro.serve import FleetConfig, PredictorRegistry, TimingFleet
+    from repro.core import TimingPredictor
+    from repro.serve import FleetConfig, TimingFleet
 
-    registry = PredictorRegistry()
-    registry.register("default", sys.argv[1])
     fleet = TimingFleet(
-        registry.payload("default"), {d: d for d in ("xgate", "steelcore")},
+        TimingPredictor.load(sys.argv[1]),
+        {d: d for d in ("xgate", "steelcore")},
         FleetConfig(workers=2, threads=1, microbatch=1,
                     flow_config=FlowConfig(scale=0.2))).start()
     print(json.dumps([w.pid for w in fleet.workers]), flush=True)
@@ -100,8 +100,8 @@ def test_workers_exit_when_the_gateway_is_killed(tmp_path, served_predictor):
                 os.kill(pid, signal.SIGKILL)
 
 
-def test_workers_report_their_blas_thread_budget(artifact_payload):
-    fleet = TimingFleet(artifact_payload,
+def test_workers_report_their_blas_thread_budget(fleet_predictor):
+    fleet = TimingFleet(fleet_predictor,
                         {"xgate": "xgate", "steelcore": "steelcore"},
                         FleetConfig(workers=2, threads=1, microbatch=1,
                                     flow_config=FlowConfig(scale=0.2)))

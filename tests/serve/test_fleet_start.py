@@ -57,10 +57,10 @@ class _SpyConn:
         return getattr(self._conn, name)
 
 
-def test_start_never_blocks_once_nothing_is_pending(artifact_payload,
+def test_start_never_blocks_once_nothing_is_pending(fleet_predictor,
                                                     monkeypatch):
     log = []
-    fleet = TimingFleet(artifact_payload, {d: d for d in DESIGNS},
+    fleet = TimingFleet(fleet_predictor, {d: d for d in DESIGNS},
                         _config())
     real_spawn, real_wait = TimingFleet._spawn, mp_connection.wait
 
@@ -106,13 +106,13 @@ def _patch_pre_route(monkeypatch, design, action):
     monkeypatch.setattr(repro.flow, "run_pre_route", run_pre_route)
 
 
-def test_open_failure_raises_fleet_open_failed(artifact_payload,
+def test_open_failure_raises_fleet_open_failed(fleet_predictor,
                                                monkeypatch):
     def fail():
         raise RuntimeError("no such netlist")
 
     _patch_pre_route(monkeypatch, "arm9", fail)
-    fleet = TimingFleet(artifact_payload, {d: d for d in DESIGNS},
+    fleet = TimingFleet(fleet_predictor, {d: d for d in DESIGNS},
                         _config())
     with pytest.raises(FleetOpenFailed) as err:
         fleet.start()
@@ -120,18 +120,18 @@ def test_open_failure_raises_fleet_open_failed(artifact_payload,
     assert all(not w.alive for w in fleet.workers)
 
 
-def test_worker_death_during_start_raises(artifact_payload, monkeypatch):
+def test_worker_death_during_start_raises(fleet_predictor, monkeypatch):
     _patch_pre_route(monkeypatch, "chacha", lambda: os._exit(3))
-    fleet = TimingFleet(artifact_payload, {d: d for d in DESIGNS},
+    fleet = TimingFleet(fleet_predictor, {d: d for d in DESIGNS},
                         _config())
     with pytest.raises(RuntimeError, match="died during startup"):
         fleet.start()
     assert all(not w.alive for w in fleet.workers)
 
 
-def test_start_timeout_raises(artifact_payload, monkeypatch):
+def test_start_timeout_raises(fleet_predictor, monkeypatch):
     _patch_pre_route(monkeypatch, "xgate", lambda: time.sleep(60))
-    fleet = TimingFleet(artifact_payload, {d: d for d in DESIGNS},
+    fleet = TimingFleet(fleet_predictor, {d: d for d in DESIGNS},
                         _config(start_timeout_s=1.0))
     with pytest.raises(TimeoutError, match="within 1s"):
         fleet.start()

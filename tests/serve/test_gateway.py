@@ -189,9 +189,9 @@ class TestBackpressure:
 
 class TestWorkerIsolation:
     def test_every_worker_reports_read_only_shared_weights(
-            self, artifact_payload):
+            self, fleet_predictor):
         flows = {"xgate": run_flow("xgate", FLOW_CONFIG)}
-        fleet = TimingFleet(artifact_payload, flows,
+        fleet = TimingFleet(fleet_predictor, flows,
                             FleetConfig(workers=2, threads=1)).start()
         try:
             # workers > designs: the fleet spawns only as many workers

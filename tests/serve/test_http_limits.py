@@ -35,11 +35,11 @@ def _session(artifact_payload):
 
 
 @pytest.fixture(scope="module", params=["workers0", "fleet"])
-def gateway(request, artifact_payload):
+def gateway(request, artifact_payload, fleet_predictor):
     if request.param == "workers0":
         gw = start_inprocess({"xgate": _session(artifact_payload)})
     else:
-        fleet = TimingFleet(artifact_payload,
+        fleet = TimingFleet(fleet_predictor,
                             {"xgate": run_flow("xgate", FLOW_CONFIG)},
                             FleetConfig(workers=1, threads=2,
                                         deadline_s=20.0)).start()

@@ -142,7 +142,7 @@ def test_fleet_model_boot_builds_no_design_in_the_gateway(tmp_path,
     assert len(held["workers"]) == 2
 
 
-def _recorded_opens(monkeypatch, payload, flows, config):
+def _recorded_opens(monkeypatch, predictor, flows, config):
     """The ``("open", ...)`` messages a started fleet sends its workers."""
     opens = []
     send = multiprocessing.connection.Connection.send
@@ -154,7 +154,7 @@ def _recorded_opens(monkeypatch, payload, flows, config):
 
     monkeypatch.setattr(multiprocessing.connection.Connection, "send",
                         recording_send)
-    fleet = TimingFleet(payload, flows, config)
+    fleet = TimingFleet(predictor, flows, config)
     try:
         fleet.start()
     finally:
@@ -163,13 +163,13 @@ def _recorded_opens(monkeypatch, payload, flows, config):
     return opens
 
 
-def test_fleet_open_ships_a_pre_route_design(artifact_payload, monkeypatch):
+def test_fleet_open_ships_a_pre_route_design(fleet_predictor, monkeypatch):
     """A fleet given a flow or a PreRouteDesign ships a PreRouteDesign."""
     flow = run_flow("xgate", FLOW_CONFIG)
     pre = flow.pre_route()
     config = FleetConfig(workers=1, threads=1, microbatch=1)
     for given in (flow, pre):
-        opens = _recorded_opens(monkeypatch, artifact_payload,
+        opens = _recorded_opens(monkeypatch, fleet_predictor,
                                 {"xgate": given}, config)
         assert len(opens) == 1
         _, design, shipped, _, _ = opens[0]
@@ -180,11 +180,11 @@ def test_fleet_open_ships_a_pre_route_design(artifact_payload, monkeypatch):
     assert shipped is pre
 
 
-def test_name_built_fleet_open_carries_only_the_name(artifact_payload,
+def test_name_built_fleet_open_carries_only_the_name(fleet_predictor,
                                                      monkeypatch):
     config = FleetConfig(workers=1, threads=1, microbatch=1,
                          flow_config=FLOW_CONFIG)
-    opens = _recorded_opens(monkeypatch, artifact_payload,
+    opens = _recorded_opens(monkeypatch, fleet_predictor,
                             {"xgate": "xgate"}, config)
     assert len(opens) == 1
     assert opens[0][:3] == ("open", "xgate", "xgate")
