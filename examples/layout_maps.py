@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.flow import FlowConfig, run_flow
 
-SIDE = 20
+SIDE = 16
 SHADES = " .:-=+*#%@"
 
 

@@ -68,6 +68,21 @@ class TimingGraph:
         edge[self.net_edge_dst] = np.arange(len(self.net_edge_dst))
         return edge
 
+    @cached_property
+    def cell_edges_at(self) -> List[np.ndarray]:
+        """Cell edge ids grouped by the level of their output node.
+
+        Entry *lvl* holds the edges into level *lvl* in ascending edge
+        order (empty where there are none, always at level 0), so both
+        STA passes visit each level's arcs in the same order.
+        """
+        dst_level = self.level[self.cell_edge_dst]
+        order = np.argsort(dst_level, kind="stable")
+        bounds = np.searchsorted(dst_level[order],
+                                 np.arange(self.n_levels + 1))
+        return [order[bounds[lvl]:bounds[lvl + 1]]
+                for lvl in range(self.n_levels)]
+
     def predecessors(self, node: int) -> np.ndarray:
         return self.pred_idx[self.pred_ptr[node]:self.pred_ptr[node + 1]]
 

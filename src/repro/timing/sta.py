@@ -5,6 +5,10 @@ level order — the classic single-pass PERT sweep of [5] in the paper.  Cell
 arcs are evaluated through the batched NLDM tables; net arcs use the Elmore
 model with wire lengths from a pluggable :class:`WireLengthProvider`, so the
 same engine produces both the pre-routing estimate and the sign-off timing.
+
+This module holds the only propagation: :func:`run_sta` runs it over every
+node, and :class:`~repro.timing.incremental.IncrementalSTA` re-runs the
+same steps from the lowest level a local edit dirtied.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.netlist import Netlist
 from repro.obs import get_metrics, get_tracer
 from repro.timing.constraints import TimingConstraints
-from repro.timing.graph import CELL_OUT, NET_SINK, SOURCE, TimingGraph
+from repro.timing.graph import NET_SINK, TimingGraph
 from repro.timing.nldm import batch_nldm_for
 from repro.timing.rc import WireLengthProvider, edge_lengths
 from repro.utils import require
@@ -146,20 +149,27 @@ def _argmax_per_dst(cand: np.ndarray, dst: np.ndarray,
     return exact[first]
 
 
-def _pin_statics(netlist: Netlist, lib, nldm, pin_ids: List[int],
-                 po_pins) -> Tuple[List[float], List[int], List[int]]:
-    """Static electrical data of the pins *pin_ids*, in order.
+# ----------------------------------------------------------------------
+# The propagation engine.  Each step reads and writes the arrays of an
+# STAResult in place, over the nodes or from the level it is given:
+# run_sta runs every step over every node, and IncrementalSTA
+# (timing/incremental.py) re-runs them from the lowest level its edits
+# dirtied.
+# ----------------------------------------------------------------------
+def _pin_statics(res: STAResult, lib, nldm, po_pins,
+                 nodes: np.ndarray) -> None:
+    """Read the static electrical data of *nodes* into *res*.
 
-    Returns ``(caps, outs, types)``: each pin's capacitance (an input's
-    cell pin cap, ``PO_LOAD_FF`` for a primary output, else 0), and for
-    the cell outputs among them their positions in *pin_ids* and their
-    NLDM type ids.
+    That is each pin's capacitance (an input's cell pin cap,
+    ``PO_LOAD_FF`` for a primary output, else 0) and, for the cell
+    outputs among them, their NLDM type ids.
     """
-    pins, cells = netlist.pins, netlist.cells
+    nl = res.graph.netlist
+    pins, cells = nl.pins, nl.cells
     caps: List[float] = []
     outs: List[int] = []
     types: List[int] = []
-    for k, pid in enumerate(pin_ids):
+    for k, pid in enumerate(res.graph.pin_ids[nodes].tolist()):
         pin = pins[pid]
         cap = 0.0
         if pin.cell is not None and pin.direction == "in":
@@ -170,7 +180,124 @@ def _pin_statics(netlist: Netlist, lib, nldm, pin_ids: List[int],
         if pin.cell is not None and pin.direction == "out":
             outs.append(k)
             types.append(nldm.type_id(cells[pin.cell].type_name))
-    return caps, outs, types
+    res.pin_cap[nodes] = caps
+    res.out_type_id[nodes[outs]] = types
+
+
+def _wire_terms(res: STAResult, lib) -> None:
+    """Net-edge wire delays and per-driver loads (star Elmore) from the
+    wire lengths and pin caps in *res*.  A driver's load is the pin caps
+    of its sinks plus the total wire capacitance of its net."""
+    g = res.graph
+    w = lib.wire
+    sink_cap = res.pin_cap[g.net_edge_dst]
+    res.net_delay = w.resistance(res.wire_len) * (
+        0.5 * w.capacitance(res.wire_len) + sink_cap)
+    res.load = np.zeros(g.n_nodes)
+    np.add.at(res.load, g.net_edge_src,
+              sink_cap + w.capacitance(res.wire_len))
+
+
+def _seed_sources(res: STAResult, lib, nodes: np.ndarray,
+                  constraints: Optional[TimingConstraints] = None) -> None:
+    """Launch the startpoints *nodes*: a primary input at its input
+    delay (0 without constraints), a flip-flop Q at its cell's
+    clock-to-Q; both at ``PI_INPUT_SLEW``."""
+    nl = res.graph.netlist
+    for node, pid in zip(nodes.tolist(), res.graph.pin_ids[nodes].tolist()):
+        pin = nl.pins[pid]
+        if pin.cell is None:
+            res.arrival[node] = (constraints.input_delay(pin.name)
+                                 if constraints is not None else 0.0)
+        else:  # flip-flop Q launch
+            res.arrival[node] = lib.cell(
+                nl.cells[pin.cell].type_name).clk_to_q
+        res.slew[node] = PI_INPUT_SLEW
+
+
+def _sweep(res: STAResult, nldm, start_level: int) -> None:
+    """Forward pass: arrival, slew, winning predecessor and cell-arc
+    delay of every node at level *start_level* and above, from the
+    levels below, level by level."""
+    g = res.graph
+    arrival, slew, best_pred = res.arrival, res.slew, res.best_pred
+    wire_delay = res.net_delay
+    e_src, edge_of_sink = g.net_edge_src, g.net_edge_of_sink
+    c_src, c_dst = g.cell_edge_src, g.cell_edge_dst
+    cell_edges_at = g.cell_edges_at
+    for lvl in range(start_level, g.n_levels):
+        nodes = g.levels[lvl]
+        # Net sinks: single incoming net edge.
+        sinks = nodes[g.kind[nodes] == NET_SINK]
+        if len(sinks):
+            edges = edge_of_sink[sinks]
+            src = e_src[edges]
+            arrival[sinks] = arrival[src] + wire_delay[edges]
+            slew[sinks] = slew[src] + SLEW_WIRE_FACTOR * wire_delay[edges]
+            best_pred[sinks] = src
+
+        # Cell outputs: max over all incoming cell arcs.
+        chunk = cell_edges_at[lvl]
+        if len(chunk):
+            src = c_src[chunk]
+            dst = c_dst[chunk]
+            d, s_out = nldm.lookup(res.out_type_id[dst], slew[src],
+                                   res.load[dst])
+            res.cell_delay[chunk] = d
+            arrival[dst] = -np.inf
+            cand = arrival[src] + d
+            np.maximum.at(arrival, dst, cand)
+            sel = _argmax_per_dst(cand, dst, arrival)
+            slew[dst[sel]] = s_out[sel]
+            best_pred[dst[sel]] = src[sel]
+
+
+def _package_endpoints(res: STAResult, lib,
+                       constraints: Optional[TimingConstraints] = None
+                       ) -> None:
+    """Endpoint arrivals and slacks at ``res.clock_period``, and a fresh
+    ``required`` holding each endpoint's required time (``inf``
+    elsewhere until :func:`_required_times` fills it in)."""
+    g = res.graph
+    nl = g.netlist
+    endpoint_arrival: Dict[int, float] = {}
+    endpoint_slack: Dict[int, float] = {}
+    required = np.full(g.n_nodes, np.inf)
+    for node, pid in zip(g.endpoints.tolist(),
+                         g.pin_ids[g.endpoints].tolist()):
+        pin = nl.pins[pid]
+        setup = 0.0
+        if pin.cell is not None:
+            setup = lib.cell(nl.cells[pin.cell].type_name).setup_time
+        elif constraints is not None:
+            setup = constraints.output_delay(pin.name)
+        endpoint_arrival[pid] = float(res.arrival[node])
+        endpoint_slack[pid] = float(res.clock_period - setup
+                                    - res.arrival[node])
+        required[node] = res.clock_period - setup
+    res.endpoint_arrival = endpoint_arrival
+    res.endpoint_slack = endpoint_slack
+    res.required = required
+
+
+def _required_times(res: STAResult) -> None:
+    """Backward pass (levels in reverse): required[src] = min over
+    out-edges of (required[dst] - edge delay)."""
+    g = res.graph
+    required = res.required
+    e_src, edge_of_sink = g.net_edge_src, g.net_edge_of_sink
+    c_src, c_dst = g.cell_edge_src, g.cell_edge_dst
+    for lvl in range(g.n_levels - 1, 0, -1):
+        nodes = g.levels[lvl]
+        sinks = nodes[g.kind[nodes] == NET_SINK]
+        if len(sinks):
+            edges = edge_of_sink[sinks]
+            np.minimum.at(required, e_src[edges],
+                          required[sinks] - res.net_delay[edges])
+        chunk = g.cell_edges_at[lvl]
+        if len(chunk):
+            np.minimum.at(required, c_src[chunk],
+                          required[c_dst[chunk]] - res.cell_delay[chunk])
 
 
 def run_sta(graph: TimingGraph, wires: WireLengthProvider,
@@ -208,6 +335,8 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
                   clock_period: float,
                   constraints: "TimingConstraints" = None,
                   corner=None) -> STAResult:
+    """The engine with every node dirty: every step over every node,
+    swept from level 1."""
     nl = graph.netlist
     if corner is None:
         lib = nl.library
@@ -217,143 +346,31 @@ def _run_sta_impl(graph: TimingGraph, wires: WireLengthProvider,
         lib = derate_library(nl.library, corner)
     nldm = batch_nldm_for(lib)
     n = graph.n_nodes
-
-    # ------------------------------------------------------------------
-    # Static per-node electrical data.
-    # ------------------------------------------------------------------
-    po_pins = {p.pin for p in nl.primary_outputs()}
-    caps, outs, types = _pin_statics(nl, lib, nldm, graph.pin_ids.tolist(),
-                                     po_pins)
-    pin_cap = np.array(caps, dtype=float)
-    out_type_id = np.zeros(n, dtype=np.int64)
-    out_type_id[outs] = types
-
-    # Net-edge wire delays and per-driver total loads (star Elmore).
-    e_src = graph.net_edge_src
-    e_dst = graph.net_edge_dst
-    wire_len = edge_lengths(wires, graph.pin_ids[e_src], graph.pin_ids[e_dst])
-    w = lib.wire
-    wire_delay = w.resistance(wire_len) * (
-        0.5 * w.capacitance(wire_len) + pin_cap[e_dst])
-
-    # Driver load: all sink pin caps + total wire capacitance of the net.
-    load = np.zeros(n)
-    np.add.at(load, e_src, pin_cap[e_dst] + w.capacitance(wire_len))
-
-    edge_of_sink = graph.net_edge_of_sink
-
-    # Group cell edges by the level of their output node.
-    c_src = graph.cell_edge_src
-    c_dst = graph.cell_edge_dst
-    cell_edges_at: Dict[int, np.ndarray] = {}
-    if len(c_dst):
-        dst_level = graph.level[c_dst]
-        order = np.argsort(dst_level, kind="stable")
-        bounds = np.searchsorted(dst_level[order],
-                                 np.arange(dst_level.max() + 2))
-        for lvl in range(len(bounds) - 1):
-            chunk = order[bounds[lvl]:bounds[lvl + 1]]
-            if len(chunk):
-                cell_edges_at[lvl] = chunk
-
-    # ------------------------------------------------------------------
-    # Initialize sources.
-    # ------------------------------------------------------------------
-    arrival = np.full(n, -np.inf)
-    slew = np.full(n, PI_INPUT_SLEW)
-    best_pred = np.full(n, -1, dtype=np.int64)
-    for node, pid in zip(graph.startpoints.tolist(),
-                         graph.pin_ids[graph.startpoints].tolist()):
-        pin = nl.pins[pid]
-        if pin.cell is None:
-            arrival[node] = (constraints.input_delay(pin.name)
-                             if constraints is not None else 0.0)
-            slew[node] = PI_INPUT_SLEW
-        else:  # flip-flop Q launch
-            ctype = lib.cell(nl.cells[pin.cell].type_name)
-            arrival[node] = ctype.clk_to_q
-            slew[node] = PI_INPUT_SLEW
-    # Isolated nodes (no preds, not startpoints) still get arrival 0.
-    lonely = (graph.level == 0) & (arrival == -np.inf)
-    arrival[lonely] = 0.0
-
-    cell_delay = np.zeros(len(c_src))
-
-    # ------------------------------------------------------------------
-    # Level-by-level propagation.
-    # ------------------------------------------------------------------
-    for lvl in range(1, graph.n_levels):
-        nodes = graph.levels[lvl]
-        # Net sinks: single incoming net edge.
-        sinks = nodes[graph.kind[nodes] == NET_SINK]
-        if len(sinks):
-            edges = edge_of_sink[sinks]
-            src = e_src[edges]
-            arrival[sinks] = arrival[src] + wire_delay[edges]
-            slew[sinks] = slew[src] + SLEW_WIRE_FACTOR * wire_delay[edges]
-            best_pred[sinks] = src
-
-        # Cell outputs: max over all incoming cell arcs.
-        chunk = cell_edges_at.get(lvl)
-        if chunk is not None:
-            src = c_src[chunk]
-            dst = c_dst[chunk]
-            d, s_out = nldm.lookup(out_type_id[dst], slew[src], load[dst])
-            cell_delay[chunk] = d
-            cand = arrival[src] + d
-            np.maximum.at(arrival, dst, cand)
-            sel = _argmax_per_dst(cand, dst, arrival)
-            slew[dst[sel]] = s_out[sel]
-            best_pred[dst[sel]] = src[sel]
-
-    require(bool(np.all(np.isfinite(arrival))),
-            "arrival propagation left unreachable nodes")
-
-    # ------------------------------------------------------------------
-    # Endpoint slacks and per-edge delay reports.
-    # ------------------------------------------------------------------
-    endpoint_arrival: Dict[int, float] = {}
-    endpoint_slack: Dict[int, float] = {}
-    required = np.full(n, np.inf)
-    for node, pid in zip(graph.endpoints.tolist(),
-                         graph.pin_ids[graph.endpoints].tolist()):
-        pin = nl.pins[pid]
-        setup = 0.0
-        if pin.cell is not None:
-            setup = lib.cell(nl.cells[pin.cell].type_name).setup_time
-        elif constraints is not None:
-            setup = constraints.output_delay(pin.name)
-        endpoint_arrival[pid] = float(arrival[node])
-        endpoint_slack[pid] = float(clock_period - setup - arrival[node])
-        required[node] = clock_period - setup
-
-    # Backward required-time sweep (levels in reverse):
-    # required[src] = min over out-edges (required[dst] - edge delay).
-    for lvl in range(graph.n_levels - 1, 0, -1):
-        nodes = graph.levels[lvl]
-        sinks = nodes[graph.kind[nodes] == NET_SINK]
-        if len(sinks):
-            edges = edge_of_sink[sinks]
-            np.minimum.at(required, e_src[edges],
-                          required[sinks] - wire_delay[edges])
-        chunk = cell_edges_at.get(lvl)
-        if chunk is not None:
-            np.minimum.at(required, c_src[chunk],
-                          required[c_dst[chunk]] - cell_delay[chunk])
-
-    return STAResult(
+    res = STAResult(
         graph=graph,
         clock_period=clock_period,
-        arrival=arrival,
-        slew=slew,
-        required=required,
-        load=load,
-        best_pred=best_pred,
-        endpoint_arrival=endpoint_arrival,
-        endpoint_slack=endpoint_slack,
-        net_delay=wire_delay,
-        cell_delay=cell_delay,
-        pin_cap=pin_cap,
-        out_type_id=out_type_id,
-        wire_len=wire_len,
+        arrival=np.full(n, -np.inf),
+        slew=np.full(n, PI_INPUT_SLEW),
+        required=np.full(n, np.inf),
+        load=np.zeros(n),
+        best_pred=np.full(n, -1, dtype=np.int64),
+        endpoint_arrival={},
+        endpoint_slack={},
+        cell_delay=np.zeros(len(graph.cell_edge_src)),
+        pin_cap=np.zeros(n),
+        out_type_id=np.zeros(n, dtype=np.int64),
+        wire_len=edge_lengths(wires, graph.pin_ids[graph.net_edge_src],
+                              graph.pin_ids[graph.net_edge_dst]),
     )
+    po_pins = {p.pin for p in nl.primary_outputs()}
+    _pin_statics(res, lib, nldm, po_pins, np.arange(n))
+    _wire_terms(res, lib)
+    _seed_sources(res, lib, graph.startpoints, constraints)
+    # Isolated nodes (no preds, not startpoints) still get arrival 0.
+    res.arrival[(graph.level == 0) & (res.arrival == -np.inf)] = 0.0
+    _sweep(res, nldm, 1)
+    require(bool(np.all(np.isfinite(res.arrival))),
+            "arrival propagation left unreachable nodes")
+    _package_endpoints(res, lib, constraints)
+    _required_times(res)
+    return res

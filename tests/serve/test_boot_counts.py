@@ -6,9 +6,10 @@ featurization, the session's incremental featurizer and its incremental
 STA all reuse the graph, the session keeps the paths featurization
 walked, and its incremental STA starts from the pre-route STA's state
 instead of sweeping again.  Counted with the tracer's
-``timing.graph.build`` and ``sta.run`` spans (tagged with the design), a
-spy on :func:`repro.core.masking.build_endpoint_paths` wherever a module
-bound it and a spy on the incremental STA's sweep, on every boot path a
+``timing.graph.build`` spans (tagged with the design), a spy on
+:func:`repro.core.masking.build_endpoint_paths` and one on the STA's
+propagation sweep (:func:`repro.timing.sta._sweep`, shared by full and
+incremental STA) wherever a module bound them, on every boot path a
 server takes:
 
 * ``repro serve --model M --workers 0``: ``SessionFactory.open`` by
@@ -52,51 +53,58 @@ from repro.serve import (
     SessionFactory,
     TimingGateway,
 )
-from repro.timing import IncrementalSTA
+from repro.timing import sta as sta_module
 
 from .conftest import MAP_BINS
 
 DESIGNS = ["xgate", "steelcore"]
 CFG = FlowConfig(scale=0.2)
 THREE_CORNERS = ("base", "slow", "fast")
+SWEEP_EVENT = "test.sta.sweep"
 
 
 @contextmanager
 def counting(monkeypatch):
     """Yield ``(graph_builds, walks, sweeps)`` counters keyed by design;
-    filled in when the block exits.  *sweeps* counts full STA runs
-    (``sta.run`` spans) and incremental-STA sweeps alike."""
+    filled in when the block exits.  *sweeps* counts calls of the one
+    STA propagation sweep, :func:`repro.timing.sta._sweep`, which full
+    STA runs and incremental refreshes share.  The spy records each as
+    a tracer event, so a pooled worker's sweeps reach the parent with
+    its merged trace."""
     walk = masking.build_endpoint_paths
+    sweep = sta_module._sweep
     walks: Counter = Counter()
-    sweeps: Counter = Counter()
 
     def spy(name, graph, seed=0):
         walks[name] += 1
         return walk(name, graph, seed)
 
+    def sweep_spy(res, nldm, start_level):
+        get_tracer().event(SWEEP_EVENT, design=res.graph.netlist.name)
+        return sweep(res, nldm, start_level)
+
     for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("repro")
-                and getattr(module, "build_endpoint_paths", None) is walk):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        if getattr(module, "build_endpoint_paths", None) is walk:
             monkeypatch.setattr(module, "build_endpoint_paths", spy)
-    sweep = IncrementalSTA._sweep
-
-    def sweep_spy(self, start_level):
-        sweeps[self.netlist.name] += 1
-        return sweep(self, start_level)
-
-    monkeypatch.setattr(IncrementalSTA, "_sweep", sweep_spy)
+        if getattr(module, "_sweep", None) is sweep:
+            monkeypatch.setattr(module, "_sweep", sweep_spy)
     tracer = get_tracer()
     was_enabled = tracer.enabled
     tracer.reset()
     tracer.enable()
     builds: Counter = Counter()
+    sweeps: Counter = Counter()
     try:
         yield builds, walks, sweeps
-        spans = [e for e in tracer.events() if e.get("type") == "span"]
-        builds.update(e["attrs"]["design"] for e in spans
-                      if e["name"] == "timing.graph.build")
-        sweeps.update(e["attrs"]["design"] for e in spans
-                      if e["name"] == "sta.run")
+        events = tracer.events()
+        builds.update(e["attrs"]["design"] for e in events
+                      if e.get("type") == "span"
+                      and e["name"] == "timing.graph.build")
+        sweeps.update(e["attrs"]["design"] for e in events
+                      if e.get("type") == "event"
+                      and e["name"] == SWEEP_EVENT)
     finally:
         tracer.reset()
         if not was_enabled:
@@ -211,7 +219,7 @@ def test_pooled_boot_ships_the_graph_and_paths(monkeypatch,
                     for pre, inputs, _ in built]
     assert builds == Counter({d: 1 for d in DESIGNS})
     assert not walks, "the parent walked paths the workers shipped"
-    # The workers' STA runs, merged; the sessions sweep nothing.
+    # The workers' sweeps, merged; the sessions sweep nothing.
     assert sweeps == Counter({d: 1 for d in DESIGNS})
     for session in sessions:
         assert_one_graph(session)

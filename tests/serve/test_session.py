@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.masking import build_endpoint_masks
 from repro.ml.features import node_features
 from repro.placement import compute_layout_maps
-from repro.serve import DesignSession, Edit
-from repro.timing import CELL_OUT, build_timing_graph
+from repro.serve import DesignSession, Edit, RequestDispatcher, SessionFactory
+from repro.timing import (
+    CELL_OUT,
+    PreRouteEstimator,
+    build_timing_graph,
+    run_sta,
+)
 
-from .conftest import MAP_BINS
+from .conftest import FLOW_CONFIG, MAP_BINS
 
 SAMPLE_ARRAYS = ("x_cell", "x_net", "masks", "layout_stack")
 
@@ -120,6 +127,35 @@ class TestWhatif:
             [{"op": "move", "cell": e.cell, "x": e.x, "y": e.y}])
         assert result["design"] == session.name
 
+
+    def test_flip_flop_resize_pre_route_equals_a_fresh_sta(
+            self, served_predictor):
+        """``/whatif`` on the flip-flop that launches the worst path:
+        its ``pre_route`` WNS/TNS equal a fresh ``run_sta`` of the
+        edited design at the session's clock (the resize changes the
+        flip-flop's clock-to-Q launch)."""
+        session = SessionFactory(lambda: served_predictor,
+                                 flow_config=FLOW_CONFIG).open("xgate")
+        nl, sta = session.netlist, session.sta.result
+        worst = min(sta.endpoint_slack, key=sta.endpoint_slack.get)
+        cid = nl.pins[sta.critical_path(worst)[0]].cell
+        ctype = nl.cell_type(cid)
+        assert ctype.is_sequential
+        target = nl.library.upsize(ctype) or nl.library.downsize(ctype)
+        edited, placement = pickle.loads(pickle.dumps(
+            (nl, session.placement)))
+        edited.change_cell_type(cid, target.name)
+        want = run_sta(build_timing_graph(edited),
+                       PreRouteEstimator(edited, placement),
+                       session.clock_period)
+        assert want.wns != sta.wns
+        got = RequestDispatcher({"xgate": session}).handle(
+            "POST", "/whatif",
+            {"design": "xgate",
+             "edits": [{"op": "resize", "cell": cid,
+                        "type": target.name}]})
+        assert got["pre_route"] == {"wns": want.wns, "tns": want.tns}
+        session.close()
 
 class TestPredict:
     def test_endpoint_subset(self, fresh_flow, served_predictor):

@@ -5,12 +5,14 @@ boot's pre-route STA (``IncrementalSTA(..., start=)``) and runs only the
 required-time pass at its own clock; a session opened on a full
 ``FlowResult`` still builds and sweeps its own.  The frozen copy below
 is the incremental STA as it was before ``start=`` existed: static pin
-data, wire lengths and a full sweep at construction.  On every paper
-preset, at design seeds 0 and 1, one corner, three corners and a
-partitioned config, and for sessions opened by name, from a pooled boot
-and from a full flow, every array of the session's STA result and every
-endpoint slack must equal the frozen copy's at open and again after a
-committed batch of moves and resizes.
+data, wire lengths and a full sweep at construction; its refresh
+re-launches the edited startpoints (a flip-flop resize changes its
+clock-to-Q).  On every paper preset, at design seeds 0 and 1, one
+corner, three corners and a partitioned config, and for sessions opened
+by name, from a pooled boot and from a full flow, every array of the
+session's STA result and every endpoint slack must equal the frozen
+copy's at open and again after a committed batch of moves and resizes,
+and a fresh ``run_sta`` of the edited design after it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.flow import FlowConfig, run_scenario_flow
 from repro.ml import boot_designs
 from repro.netlist import PAPER_DESIGNS
 from repro.serve import Edit, SessionFactory
-from repro.timing import STAResult, build_timing_graph
+from repro.timing import STAResult, build_timing_graph, run_sta
 from repro.timing.graph import NET_SINK
 from repro.timing.nldm import batch_nldm_for
 from repro.timing.rc import PreRouteEstimator, edge_lengths
@@ -92,19 +94,22 @@ class FrozenIncrementalSTA:
         self._arrival = np.full(n, -np.inf)
         self._slew = np.full(n, PI_INPUT_SLEW)
         self._best_pred = np.full(n, -1, dtype=np.int64)
-        for node, pid in zip(g.startpoints.tolist(),
-                             g.pin_ids[g.startpoints].tolist()):
-            pin = nl.pins[pid]
+        self._launch(g.startpoints.tolist())
+        lonely = (g.level == 0) & (self._arrival == -np.inf)
+        self._arrival[lonely] = 0.0
+        self._sweep(1)
+        self.result = self._package()
+
+    def _launch(self, startpoints):
+        nl = self.netlist
+        for node in startpoints:
+            pin = nl.pins[int(self.graph.pin_ids[node])]
             if pin.cell is None:
                 self._arrival[node] = 0.0
             else:
                 self._arrival[node] = nl.library.cell(
                     nl.cells[pin.cell].type_name).clk_to_q
             self._slew[node] = PI_INPUT_SLEW
-        lonely = (g.level == 0) & (self._arrival == -np.inf)
-        self._arrival[lonely] = 0.0
-        self._sweep(1)
-        self.result = self._package()
 
     def _refresh_static(self, nodes):
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -165,6 +170,8 @@ class FrozenIncrementalSTA:
             return self.result
         start = max(1, int(min(self.graph.level[v] for v in self._dirty)))
         self._recompute_wire_terms()
+        self._launch(sorted(self._dirty & set(
+            self.graph.startpoints.tolist())))
         self._sweep(start)
         self.result = self._package()
         self._dirty.clear()
@@ -339,5 +346,10 @@ def test_session_sta_matches_the_frozen_construction(
             ref.refresh()
             _assert_equal(session.sta.result, ref.result,
                           f"{where}, after edits")
+            _assert_equal(session.sta.result,
+                          run_sta(build_timing_graph(nl),
+                                  PreRouteEstimator(nl, pl),
+                                  session.clock_period),
+                          f"{where}, after edits, against a fresh STA")
         finally:
             session.close()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import get_metrics
 from repro.timing import PreRouteEstimator, build_timing_graph, run_sta
 from repro.timing.incremental import IncrementalSTA
 
@@ -23,14 +24,16 @@ def _full(nl, pl, period):
     return run_sta(build_timing_graph(nl), PreRouteEstimator(nl, pl), period)
 
 
+ARRAYS = ("arrival", "slew", "required", "load", "best_pred", "net_delay",
+          "cell_delay")
+
+
 def _assert_equal(inc_res, full_res):
-    np.testing.assert_allclose(inc_res.arrival, full_res.arrival,
-                               atol=1e-9)
-    np.testing.assert_allclose(inc_res.slew, full_res.slew, atol=1e-9)
-    finite = np.isfinite(full_res.required)
-    np.testing.assert_allclose(inc_res.required[finite],
-                               full_res.required[finite], atol=1e-9)
-    assert inc_res.endpoint_slack == pytest.approx(full_res.endpoint_slack)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(inc_res, name),
+                              getattr(full_res, name)), name
+    assert inc_res.endpoint_arrival == full_res.endpoint_arrival
+    assert inc_res.endpoint_slack == full_res.endpoint_slack
 
 
 def test_initial_state_matches_full_sta(design):
@@ -51,6 +54,22 @@ def test_resize_refresh_matches_full_sta(design):
     assert inc.partial_updates == 1
 
 
+def test_flip_flop_resize_relaunches_its_q(design):
+    """A flip-flop resize changes its clock-to-Q launch: the refresh
+    re-seeds the Q pin's arrival before it sweeps."""
+    nl, pl = design
+    inc = IncrementalSTA(nl, pl, clock_period=800.0)
+    ff = nl.sequential_cells()[0]
+    ctype = nl.cell_type(ff.cid)
+    target = nl.library.upsize(ctype) or nl.library.downsize(ctype)
+    assert target.clk_to_q != ctype.clk_to_q
+    q = inc.graph.node_of[ff.output_pin]
+    inc.resize_cell(ff.cid, target.name)
+    got = inc.refresh()
+    assert got.arrival[q] == target.clk_to_q
+    _assert_equal(got, _full(nl, pl, 800.0))
+
+
 def test_move_refresh_matches_full_sta(design):
     nl, pl = design
     inc = IncrementalSTA(nl, pl, clock_period=800.0)
@@ -59,6 +78,30 @@ def test_move_refresh_matches_full_sta(design):
     inc.move_cell(cid, x + 10.0, y + 5.0)
     got = inc.refresh()
     _assert_equal(got, _full(nl, pl, 800.0))
+
+
+def test_refresh_counts_the_nodes_it_sweeps(design):
+    """``sta.incremental.nodes_swept`` observes, per refresh, every node
+    at or above the lowest level the edit dirtied."""
+    nl, pl = design
+    inc = IncrementalSTA(nl, pl, clock_period=800.0)
+    g = inc.graph
+    rng = np.random.default_rng(11)
+    cid = int(rng.choice(sorted(nl.cells)))
+    inst = nl.cells[cid]
+    nets = [nl.nets[nl.pins[p].net]
+            for p in list(inst.input_pins) + [inst.output_pin]
+            if nl.pins[p].net is not None]
+    touched = [g.node_of[p] for net in nets for p in [net.driver, *net.sinks]]
+    start = max(1, int(g.level[touched].min()))
+    swept = get_metrics().histogram("sta.incremental.nodes_swept")
+    count, total = swept.count, swept.summary()["total"]
+    x, y = pl.position(cid)
+    inc.move_cell(cid, x + 3.0, y + 2.0)
+    inc.refresh()
+    assert swept.count == count + 1
+    assert swept.summary()["total"] - total == np.count_nonzero(
+        g.level >= start)
 
 
 def test_sequence_of_edits(design):

@@ -1,11 +1,12 @@
 """Differential suite: incremental STA vs. full re-run after move sequences.
 
 Property-style lockdown of the optimizer's central invariant: after *each*
-edit in a seeded sequence of parameter-only moves (gate resizes and cell
-moves — the edits :class:`IncrementalSTA` claims to handle without a
-rebuild), every endpoint arrival and slack must match a from-scratch
-:func:`run_sta` to 1e-6.  Runs over three design presets so level
-structure, fanout profile and library usage all vary.
+edit in a seeded sequence of parameter-only moves (gate and flip-flop
+resizes and cell moves — the edits :class:`IncrementalSTA` claims to
+handle without a rebuild), every array of the result and every endpoint
+arrival and slack must equal a from-scratch :func:`run_sta` exactly.
+Runs over three design presets so level structure, fanout profile and
+library usage all vary.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.timing.incremental import IncrementalSTA
 
 PRESETS = [("xgate", 0.25), ("steelcore", 0.25), ("chacha", 0.2)]
 N_MOVES = 8
-TOL = 1e-6
+ARRAYS = ("arrival", "slew", "required", "load", "best_pred", "net_delay",
+          "cell_delay")
 
 
 def _make_design(name: str, scale: float):
@@ -37,31 +39,36 @@ def _full_sta(nl, pl, period):
 
 
 def _assert_matches_full(inc_result, full_result, context: str) -> None:
-    assert set(inc_result.endpoint_arrival) == set(
-        full_result.endpoint_arrival), context
-    for pid, arr in full_result.endpoint_arrival.items():
-        assert inc_result.endpoint_arrival[pid] == pytest.approx(
-            arr, abs=TOL), f"{context}: arrival mismatch at endpoint {pid}"
-    for pid, slk in full_result.endpoint_slack.items():
-        assert inc_result.endpoint_slack[pid] == pytest.approx(
-            slk, abs=TOL), f"{context}: slack mismatch at endpoint {pid}"
-    np.testing.assert_allclose(inc_result.arrival, full_result.arrival,
-                               atol=TOL, err_msg=context)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(inc_result, name),
+                              getattr(full_result, name)), \
+            f"{context}: {name} mismatch"
+    assert inc_result.endpoint_arrival == full_result.endpoint_arrival, \
+        context
+    assert inc_result.endpoint_slack == full_result.endpoint_slack, context
 
 
-def _apply_random_move(inc: IncrementalSTA, nl, pl, rng) -> str:
-    """One seeded resize-or-move edit through the incremental API."""
+EDIT_KINDS = ("flip-flop", "cell", "move")
+
+
+def _apply_random_move(inc: IncrementalSTA, nl, pl, rng, step: int) -> str:
+    """One seeded edit through the incremental API; *step* rotates it
+    through a flip-flop resize, a combinational resize and a move."""
     lib = nl.library
-    if rng.random() < 0.5:
-        # Resize: pick a combinational cell with a neighbouring drive.
-        cells = sorted(c.cid for c in nl.combinational_cells())
+    kind = EDIT_KINDS[step % len(EDIT_KINDS)]
+    if kind != "move":
+        # Resize a random flip-flop (which changes its clock-to-Q
+        # launch) or combinational cell to a neighbouring drive.
+        pool = (nl.sequential_cells() if kind == "flip-flop"
+                else nl.combinational_cells())
+        cells = sorted(c.cid for c in pool)
         rng.shuffle(cells)
         for cid in cells:
             ctype = nl.cell_type(cid)
             target = lib.upsize(ctype) or lib.downsize(ctype)
             if target is not None:
                 inc.resize_cell(cid, target.name)
-                return f"resize {cid} -> {target.name}"
+                return f"resize {kind} {cid} -> {target.name}"
     # Move: jitter a random cell inside the die.
     cells = sorted(nl.cells)
     cid = cells[int(rng.integers(len(cells)))]
@@ -83,7 +90,7 @@ def test_incremental_matches_full_after_each_move(name, scale):
 
     rng = np.random.default_rng(20230716)
     for step in range(N_MOVES):
-        what = _apply_random_move(inc, nl, pl, rng)
+        what = _apply_random_move(inc, nl, pl, rng, step)
         got = inc.refresh()
         want = _full_sta(nl, pl, period)
         _assert_matches_full(got, want, f"{name} step {step}: {what}")
@@ -98,8 +105,8 @@ def test_batched_moves_then_single_refresh(name, scale):
     period = 800.0
     inc = IncrementalSTA(nl, pl, clock_period=period)
     rng = np.random.default_rng(7)
-    for _ in range(4):
-        _apply_random_move(inc, nl, pl, rng)
+    for step in range(4):
+        _apply_random_move(inc, nl, pl, rng, step)
     got = inc.refresh()
     _assert_matches_full(got, _full_sta(nl, pl, period), f"{name}: batched")
     assert inc.partial_updates == 1
